@@ -10,15 +10,17 @@ Each wave is one fan-out over the scheduled table::
         _wave_block_write for why this beats a per-wave Ray Data
         micro-pipeline — the ~0.39 s/wave executor+sink fixed cost)
       → route feedback columns → one buffer RPC per frontier shard
+      → plugin sink (if any): the driver hands each written part to
+        ``sink_batch`` in part order
       → commit_wave (deterministic order) → checkpoint (async IO);
         the commit barrier is submit-only and overlaps the NEXT wave's
         schedule via per-shard actor ordering (harvested after the
         schedule RPCs are queued)
 
 The bulk analytics/corpus pipelines remain Ray Data end to end; only
-this iterative ~170-sub-second-task wave loop uses raw tasks (the
-plugin path, which must stream the wave through the driver-side sink
-hook, keeps the materializing Ray Data route).
+this iterative ~170-sub-second-task wave loop uses raw tasks, with or
+without a plugin (its ``download_batch``/``extract_batch`` hooks run
+inside the block tasks).
 
 Link discovery rides the output table as a ``feedback_json`` column and
 is routed to the frontier shards once per wave, then applied in
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import shutil
 import uuid
 
@@ -53,70 +54,33 @@ from ..config import CrawlSettings, RuleSet
 from ..functions.urls import url_host
 from ..sources.pages_gen import _host_shard
 from ..stages.extract_stage import (FEEDBACK_COLUMNS, extract_batch_task,
-                                    route_feedback_files, route_refs_remote)
+                                    route_refs_remote)
 from ..stages.fetch import (browser_rules_map, build_robots_map,
                             cookie_rules_map, fetch_sim_batch,
                             load_partition_refs, proxy_rules_map)
 from ..state.frontier import FrontierShard
-from .scheduler import run_schedule_wave, shard_for_url
+from .scheduler import run_schedule_wave
 
 
-def fused_fetch_extract(batch, *, run_token, corpus_dir, robots_map,
-                        pages_shards, rules_ref, settings, frontier_shards,
-                        rules_version=0, partition_refs=None, plugin=None,
-                        browser_map=None, proxy_map=None, cookie_map=None):
-    """fetch-sim → extract in one task (html stays in-process)."""
-    fetched = fetch_sim_batch(
-        batch, run_token=run_token, corpus_dir=corpus_dir,
-        robots_map=robots_map, pages_shards=pages_shards,
-        partition_refs=partition_refs, plugin=plugin,
-        browser_map=browser_map, proxy_map=proxy_map,
-        cookie_map=cookie_map, rules_version=rules_version,
-    )
-    return extract_batch_task(
-        fetched, run_token=run_token, rules_ref=rules_ref, settings=settings,
-        frontier_shards=frontier_shards, rules_version=rules_version,
-        plugin=plugin,
-    )
-
-
-def fused_fetch_extract_indexed(batch, *, table_ref, bounds, **kw):
-    """Block-index dispatch: the wave's scheduled table is broadcast ONCE
-    (one ``ray.put``) and each task slices its row range zero-copy —
-    replaces ``from_arrow(blocks)``, whose one-put-per-block driver loop
-    measured ~4 ms × blocks × waves of serial wall time."""
-    import ray
-
-    tbl = ray.get(table_ref) if isinstance(table_ref, ray.ObjectRef) else table_ref
-    out = []
-    for bid in batch["id"].tolist():
-        lo, hi = bounds[bid]
-        out.append(fused_fetch_extract(tbl.slice(lo, hi - lo), **kw))
-    return pa.concat_tables(out) if len(out) != 1 else out[0]
-
-
-def _wave_block_write(tbl, lo, hi, rules_version, part_path, kw):
-    """One scheduled-row range → fused fetch+extract → its own parquet
+def _wave_block_write(tbl, lo, hi, part_path, kw):
+    """One scheduled-row range → fetch-sim → extract → its own parquet
     part, written in-task (raw Ray task; registered lazily as a remote
-    below).  Replaces the per-wave Ray Data micro-pipeline for the
-    non-plugin path: a fresh streaming executor + parquet sink costs a
-    measured ~0.39 s of fixed spin-up per execution vs ~0.04 s for the
-    equivalent raw-task fan-out (this host, 32 cpus, 170 blocks), and at
-    ~1 s of useful work per wave that fixed cost was ~3.1 s of pure
-    overhead across the 9 sf0.1 bench waves.  Ray Data stays the engine
-    for every bulk scan in pipelines/* — an iterative frontier loop
-    dispatching ~170 sub-second tasks per wave is the documented
-    "Dataset API can't express it efficiently" exception.  Semantics are
-    unchanged: same fused kernel, same block bounds, same per-part
-    parquet layout under ``wave=k/`` (the barrier before feedback
-    routing is the ``ray.get`` over the wave's tasks; a task retry
-    deterministically rewrites its own part).  ``tbl`` arrives as a
-    top-level ObjectRef arg (auto-deref, zero-copy from plasma);
-    ``kw`` is the run-invariant kwargs dict put ONCE per run (nested
-    robots/rules refs stay refs — the kernels ``ray.get`` them into
-    their worker-global caches exactly as on the Ray Data path)."""
-    out = fused_fetch_extract(
-        tbl.slice(lo, hi - lo), rules_version=rules_version, **kw)
+    below); the html bytes never leave the process.  This replaces a
+    per-wave Ray Data micro-pipeline: a fresh streaming executor +
+    parquet sink costs a measured ~0.39 s of fixed spin-up per execution
+    vs ~0.04 s for the equivalent raw-task fan-out (32 cpus, 170
+    blocks), and at ~1 s of useful work per wave that fixed cost was
+    ~3.1 s of pure overhead across the 9 sf0.1 bench waves.  Ray Data
+    stays the engine for every bulk scan in pipelines/* — an iterative
+    frontier loop dispatching ~170 sub-second tasks per wave is the
+    documented "Dataset API can't express it efficiently" exception.  A
+    task retry deterministically rewrites its own part.  ``tbl`` arrives
+    as a top-level ObjectRef arg (auto-deref, zero-copy from plasma);
+    ``kw`` is the run-invariant ``{"fetch": ..., "extract": ...}``
+    kwargs put ONCE per run (nested robots/rules refs stay refs — the
+    kernels ``ray.get`` them into their worker-global caches)."""
+    fetched = fetch_sim_batch(tbl.slice(lo, hi - lo), **kw["fetch"])
+    out = extract_batch_task(fetched, **kw["extract"])
     pq.write_table(out, part_path)
     # the narrow feedback projection is the task's RESULT: the crawl
     # loop hands chunks of these refs to routing tasks as blocks finish,
@@ -138,18 +102,23 @@ def _wave_task():
         _wave_block_write_remote = ray.remote(_wave_block_write)
     return _wave_block_write_remote
 
+
 def hosts_vectorized(u_ser):
     """Lower-cased hostnames for a url Series — C-regex fast path with a
     row-wise ``url_host`` (urlsplit) fallback for anything the regex
-    can't take (IPv6 literals, scheme-less, empty), so the mapping is
-    urlsplit-identical (property-tested).  ~5 µs/url as a python
-    urlsplit loop, this was a measurable slice of the per-wave serial
-    floor; the resulting shard id only drives fetch locality (each
-    fetch task re-derives every row's own pages shard), never results."""
-    hosts = u_ser.str.extract(
-        r"^[a-zA-Z][a-zA-Z0-9+.\-]*://(?:[^/?#]*@)?([^/?#:@\[\]]*)",
+    can't take (brackets — IPv6 literals or ``ValueError`` — non-ASCII,
+    scheme-less, empty), so the mapping is urlsplit-identical
+    (property-tested over arbitrary text).  Tabs and line breaks are
+    stripped first, as urlsplit does.  ~5 µs/url as a python urlsplit
+    loop, this was a measurable slice of the per-wave serial floor; the
+    resulting shard id only drives fetch locality (each fetch task
+    re-derives every row's own pages shard), never results."""
+    clean = u_ser.str.replace(r"[\t\r\n]", "", regex=True)
+    hosts = clean.str.extract(
+        r"^[a-zA-Z][a-zA-Z0-9+.\-]*://(?:[^/?#]*@)?([^/?#:@]*)",
         expand=False)
-    slow = hosts.isna() | (hosts == "")
+    slow = (hosts.isna() | (hosts == "")
+            | clean.str.contains(r"[\[\]]|[^\x00-\x7f]", regex=True))
     if slow.any():
         hosts[slow] = u_ser[slow].map(lambda x: url_host(x) or "")
     return hosts.str.lower().fillna("")
@@ -330,27 +299,34 @@ class CrawlJob:
             return ((0, ""), None)
 
     def _rebuild_wave_kw(self) -> None:
-        """One ``ray.put`` of the run-invariant fused-kernel kwargs (the
-        raw-task wave path's broadcast; rebuilt on rules hot-reload).
-        Nested ObjectRefs/actor handles survive the put — the kernels
-        deref them into worker-global caches, same as the fn_kwargs
-        route."""
+        """One ``ray.put`` of the run-invariant block-task kwargs (rebuilt
+        on rules hot-reload, which bumps ``rules_version``).  Nested
+        ObjectRefs/actor handles survive the put — the kernels deref
+        them into worker-global caches.  The plugin rides along, so its
+        ``download_batch``/``extract_batch`` hooks run in the block
+        tasks on a per-worker copy."""
         import ray
 
-        self._wave_kw_ref = ray.put(dict(
-            run_token=self.run_token,
-            corpus_dir=self.corpus_dir,
-            robots_map=self.robots_ref,
-            pages_shards=self.corpus_meta.get("pages_shards", 16),
-            rules_ref=self.rules_ref,
-            settings=self.settings,
-            frontier_shards=self.shards,
-            partition_refs=self.partition_refs,
-            plugin=None,
-            browser_map=self.browser_map,
-            proxy_map=self.proxy_map,
-            cookie_map=self.cookie_map,
-        ))
+        common = dict(run_token=self.run_token, plugin=self.plugin,
+                      rules_version=self.rules_version)
+        self._wave_kw_ref = ray.put({
+            "fetch": dict(
+                common,
+                corpus_dir=self.corpus_dir,
+                robots_map=self.robots_ref,
+                pages_shards=self.corpus_meta.get("pages_shards", 16),
+                partition_refs=self.partition_refs,
+                browser_map=self.browser_map,
+                proxy_map=self.proxy_map,
+                cookie_map=self.cookie_map,
+            ),
+            "extract": dict(
+                common,
+                rules_ref=self.rules_ref,
+                settings=self.settings,
+                frontier_shards=self.shards,
+            ),
+        })
 
     def _maybe_reload_rules(self) -> bool:
         import ray
@@ -598,82 +574,43 @@ class CrawlJob:
             # double-apply frontier feedback — clear it before writing
             shutil.rmtree(wave_path, ignore_errors=True)
             os.makedirs(wave_path, exist_ok=True)
-            if self.plugin is None:
-                # raw-task fan-out writing per-block parquet parts
-                # in-task (see _wave_block_write for the measured Ray
-                # Data per-wave fixed-cost rationale)
-                task = _wave_task()
-                block_futs = [
-                    task.remote(
-                        table_ref, lo, hi, self.rules_version,
-                        os.path.join(wave_path, f"part-{k:05d}.parquet"),
-                        self._wave_kw_ref)
-                    for k, (lo, hi) in enumerate(bounds)
-                ]
-                # feedback routing OVERLAPS the wave tail: each block
-                # task returns its narrow feedback table; chunks of
-                # finished refs go to routing tasks while stragglers
-                # still run.  The wave barrier is the routing futures —
-                # their completion implies every block wrote its part
-                # AND every feedback row was delivered (the
-                # happens-before edge commit_wave needs).
-                route = route_refs_remote()
-                route_futs = []
-                pending_blocks = block_futs
-                while pending_blocks:
-                    done, pending_blocks = ray.wait(
-                        pending_blocks,
-                        num_returns=min(16, len(pending_blocks)))
-                    route_futs.append(route.remote(done, self.shards))
-                t = _tick("pipeline", t)
-                fb_counts = {"rows": 0, "fail": 0, "finish": 0}
-                for c in ray.get(route_futs):
-                    for k in fb_counts:
-                        fb_counts[k] += c[k]
-                t = _tick("feedback", t)
-            else:
-                # plugin sinks consume the wave driver-side — keep the
-                # materializing Ray Data route (block-INDEX dataset:
-                # ray.data.range generates on workers, no driver put
-                # per block)
-                ds = ray.data.range(
-                    len(bounds), override_num_blocks=len(bounds))
-                ds = ds.map_batches(
-                    fused_fetch_extract_indexed,
-                    fn_kwargs=dict(
-                        table_ref=table_ref,
-                        bounds=bounds,
-                        run_token=self.run_token,
-                        corpus_dir=self.corpus_dir,
-                        robots_map=self.robots_ref,
-                        pages_shards=pages_shards,
-                        rules_ref=self.rules_ref,
-                        rules_version=self.rules_version,
-                        settings=s,
-                        frontier_shards=self.shards,
-                        partition_refs=self.partition_refs,
-                        plugin=self.plugin,
-                        browser_map=self.browser_map,
-                        proxy_map=self.proxy_map,
-                        cookie_map=self.cookie_map,
-                    ),
-                    batch_format="numpy",
-                    batch_size=None,
-                )
-                mat = ds.materialize()
-                mat.write_parquet(wave_path)
-                # pipeline.js:573-575 sink hook, driver-side per wave
-                for b in mat.iter_batches(batch_format="pyarrow"):
-                    self.plugin.sink_batch(b)
+            parts = [os.path.join(wave_path, f"part-{k:05d}.parquet")
+                     for k in range(len(bounds))]
+            task = _wave_task()
+            block_futs = [
+                task.remote(table_ref, lo, hi, part, self._wave_kw_ref)
+                for (lo, hi), part in zip(bounds, parts)
+            ]
+            # feedback routing OVERLAPS the wave tail: each block task
+            # returns its narrow feedback table; chunks of finished refs
+            # go to routing tasks while stragglers still run.  The wave
+            # barrier is the routing futures — their completion implies
+            # every block wrote its part AND every feedback row was
+            # delivered (the happens-before edge commit_wave needs).
+            # fetch_local=False: the routing tasks pull the feedback
+            # tables where they run; the driver never fetches them.
+            route = route_refs_remote()
+            route_futs = []
+            pending_blocks = block_futs
+            while pending_blocks:
+                done, pending_blocks = ray.wait(
+                    pending_blocks,
+                    num_returns=min(16, len(pending_blocks)),
+                    fetch_local=False)
+                route_futs.append(route.remote(done, self.shards))
+            t = _tick("pipeline", t)
+            fb_counts = {"rows": 0, "fail": 0, "finish": 0}
+            for c in ray.get(route_futs):
+                for k in fb_counts:
+                    fb_counts[k] += c[k]
+            t = _tick("feedback", t)
+            if self.plugin is not None:
+                # pipeline.js:573-575 sink hook, driver-side per wave, in
+                # part order (deterministic across runs)
+                for part in parts:
+                    self.plugin.sink_batch(pq.read_table(part))
                 self.plugin.alert("crawl_finish_alert", {"wave": wave, "n": n})
-                t = _tick("pipeline", t)
-                # plugin path: feedback routed from the written wave
-                # files (one task per file chunk reads only the narrow
-                # feedback columns, pushes its own buffer rows, joins
-                # the pushes — completion ⇒ delivery; commit_wave sorts
-                # by seq, so cross-task arrival order is free)
-                fb_counts = route_feedback_files(wave_path, self.shards)
-                t = _tick("feedback", t)
+                t = _tick("sink", t)
 
             # ---- deterministic frontier commit + checkpoint -------------
             # each shard writes its own checkpoint file (atomic) — the

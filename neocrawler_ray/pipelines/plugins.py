@@ -14,13 +14,15 @@ duck-typed contract over batches:
 | ``pipeline(extracted_info,cb)``| ``sink_batch(table)`` per wave, driver |
 | ``*_alert`` metric taps        | ``alert(event, payload)``              |
 
-``download_batch`` / ``extract_batch`` run INSIDE the fetch/extract
-actors (the plugin object is broadcast with the actor constructor args,
-so its state is per-actor, mirroring the reference's per-spider plugin
-instance); ``assembly`` / ``sink_batch`` run on the driver once per run
-/ wave.  Returning ``None`` from ``download_batch`` means "fall
-through to the built-in fetch-sim" (``cb(null, null)`` semantics,
-reference downloader.js:300-303).
+``download_batch`` / ``extract_batch`` run INSIDE the crawl's block
+tasks (the plugin object rides in the once-per-run task kwargs and each
+worker process keeps its own copy, so hook state is per-worker,
+mirroring the reference's per-spider plugin instance); ``assembly``
+runs on the driver once per run, and ``sink_batch`` on the driver once
+per written wave part, in part order, followed by one
+``crawl_finish_alert``.  Returning ``None`` from ``download_batch``
+means "fall through to the built-in fetch-sim" (``cb(null, null)``
+semantics, reference downloader.js:300-303).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Extract stage — vectorized rule-engine transform + frontier feedback.
 
-One ``map_batches`` stage (task-mode with a worker-global singleton via
-:func:`extract_batch_task`, or a plain callable class) that, per Arrow
-batch of fetched pages:
+:func:`extract_batch_task` (a worker-global :class:`ExtractBatch`
+singleton per run) runs inside each crawl wave's block task, right after
+the fetch-sim, and per Arrow batch of fetched pages:
 
 1. decodes ``html`` per the rule's ``encoding`` (downloader.js:272-285
    charset handling, minus live headers);
@@ -14,13 +14,13 @@ batch of fetched pages:
    (extractor.js:180-294) via the pure functions in
    :mod:`neocrawler_ray.functions.extract`;
 4. emits discovered links as a ``feedback_json`` column riding the
-   output table — the driver (or, at larger scale, a follow-up
-   shard-grouped ``map_batches`` stage) routes them to their owning
-   frontier shards (``md5(tld) % S``) as seq-tagged buffer rows after
-   the wave completes.  Pushing from inside the hot task was measured
-   to invert scaling: every block paid a blocking fan-out RPC to all
-   shards, and at 32 CPUs × 16 shards the barrier dominated
-   (SURVEY.md §2.1 S10 feedback loop, re-expressed off the hot path);
+   output table — routing tasks (:func:`_route_refs_task`) send them to
+   their owning frontier shards (``md5(tld) % S``) as seq-tagged buffer
+   rows while the wave's remaining blocks finish.  Pushing from inside
+   the hot task was measured to invert scaling: every block paid a
+   blocking fan-out RPC to all shards, and at 32 CPUs × 16 shards the
+   barrier dominated (SURVEY.md §2.1 S10 feedback loop, re-expressed off
+   the hot path);
 5. returns the extracted rows (no html bytes unless the rule keeps them —
    wide binary stays out of the frontier path, SURVEY.md §7.5).
 
@@ -31,7 +31,6 @@ shuffled — J1 broadcast-join semantics).
 from __future__ import annotations
 
 import json
-import os
 
 import pyarrow as pa
 
@@ -127,7 +126,7 @@ class ExtractBatch:
         cols["nav_last"] = (
             batch.column("nav_last").to_pylist()
             if "nav_last" in batch.schema.names else [True] * batch.num_rows)
-        # html stays an Arrow array: per-row as_py() materializes one
+        # html stays an Arrow array: per-row as_py() pulls one
         # page's bytes at a time instead of copying the whole batch's
         # payloads out of the object store up front
         html_col = batch.column("html")
@@ -238,33 +237,19 @@ FEEDBACK_COLUMNS = ["seq", "url", "urllib", "domain", "final_state",
                     "nav_last"]
 
 
-def _route_files_task(paths: list[str], shards: list) -> dict:
-    """One CHUNK of wave-output files → routed + delivered to frontier
-    shards.
-
-    Runs as a Ray task: reads ONLY the narrow feedback columns, computes
-    per-row owning shards (json parse + md5-tld hash), pushes one
-    ``buffer_results`` RPC per touched shard and JOINS those pushes —
-    task completion therefore implies delivery, giving the driver a
-    happens-before edge to ``commit_wave`` without any driver-side row
-    loop (the former per-wave serial floor).  Files are chunked so task
-    count tracks the cluster width, not the output file count (a wave
-    writes one file per pipeline block; per-task overhead on ~100-row
-    files was the dominant feedback cost)."""
-    import pyarrow.parquet as pq
-
-    tbl = pa.concat_tables(
-        [pq.read_table(p, columns=FEEDBACK_COLUMNS) for p in paths])
-    return _route_and_deliver(tbl, shards)
-
-
-def _route_and_deliver(tbl: pa.Table, shards: list) -> dict:
-    """Shared routing body: narrow feedback table → per-shard
-    ``buffer_results`` pushes (joined, so return ⇒ delivery) + the T7
-    breaker tallies."""
+def _route_refs_task(tbl_refs: list, shards: list) -> dict:
+    """One CHUNK of finished wave blocks' narrow feedback tables (plasma
+    refs from the raw block tasks) → routed + delivered to the frontier
+    shards.  The crawl loop hands refs over as blocks complete, so
+    routing overlaps the wave's straggler tail and the driver never
+    deserializes the feedback rows.  One ``buffer_results`` RPC per
+    touched shard, JOINED — task completion therefore implies delivery,
+    the driver's happens-before edge to ``commit_wave``.  Returns the
+    row count plus the T7 circuit-breaker tallies."""
     import pyarrow.compute as pc
     import ray
 
+    tbl = pa.concat_tables(ray.get(tbl_refs))
     buffers = route_feedback(tbl, len(shards))
     if buffers:
         ray.get([shards[sid].buffer_results.remote(rows)
@@ -279,25 +264,16 @@ def _route_and_deliver(tbl: pa.Table, shards: list) -> dict:
     return {"rows": tbl.num_rows, "fail": n_fail, "finish": n_ok}
 
 
-def _route_refs_task(tbl_refs: list, shards: list) -> dict:
-    """One CHUNK of finished wave blocks' narrow feedback tables (plasma
-    refs from the raw block tasks) → routed + delivered.  The in-memory
-    sibling of :func:`_route_files_task`: the crawl loop hands refs over
-    as blocks complete, so routing overlaps the wave's straggler tail
-    and the driver never deserializes the feedback rows."""
-    import ray
-
-    return _route_and_deliver(pa.concat_tables(ray.get(tbl_refs)), shards)
-
-
-_ROUTE_TASK = None
 _ROUTE_REFS_TASK = None
 
 
 def route_refs_remote():
-    """Lazy ``@ray.remote`` handle for :func:`_route_refs_task` —
-    ``max_retries=0`` for the same exactly-once-at-the-wave-level stance
-    as the file-based router (see route_feedback_files)."""
+    """Lazy ``@ray.remote`` handle for :func:`_route_refs_task`.
+    ``max_retries=0``: the task pushes buffer rows to frontier shards (a
+    side effect) — Ray's default silent re-execution after a worker
+    death would re-deliver rows and double-apply feedback; a failure
+    instead surfaces to the driver, and resuming re-runs the wave from
+    the checkpoint (exactly-once at the wave level)."""
     global _ROUTE_REFS_TASK
     import ray
 
@@ -307,40 +283,12 @@ def route_refs_remote():
     return _ROUTE_REFS_TASK
 
 
-def route_feedback_files(wave_path: str, shards: list,
-                         max_tasks: int = 16) -> dict:
-    """Distributed wave-feedback routing: files chunked over ≤max_tasks
-    Ray tasks.  Returns summed counts {rows, fail, finish} (the
-    fail/finish tallies feed the T7 circuit breaker)."""
-    import glob
-
-    import ray
-
-    global _ROUTE_TASK
-    files = sorted(glob.glob(os.path.join(wave_path, "*.parquet")))
-    totals = {"rows": 0, "fail": 0, "finish": 0}
-    if not files:
-        return totals
-    if _ROUTE_TASK is None:
-        # max_retries=0: the task pushes buffer rows to frontier shards
-        # (a side effect) — Ray's default silent re-execution after a
-        # worker death would re-deliver rows and double-apply feedback;
-        # a failure instead surfaces to the driver, which re-runs the
-        # wave from the checkpoint (exactly-once at the wave level)
-        _ROUTE_TASK = ray.remote(num_cpus=0.5, max_retries=0)(_route_files_task)
-    n_tasks = min(max_tasks, len(files))
-    chunks = [files[i::n_tasks] for i in range(n_tasks)]
-    for c in ray.get([_ROUTE_TASK.remote(ch, shards) for ch in chunks]):
-        for k in totals:
-            totals[k] += c[k]
-    return totals
-
-
 def route_feedback(table: pa.Table, num_shards: int) -> dict[int, list[tuple]]:
     """Wave output table → per-shard seq-tagged buffer rows (links +
     final-state transitions), ready for one ``buffer_results`` RPC per
-    shard.  Driver-callable; at wave scale it runs inside
-    :func:`_route_file_task` Ray tasks (one per wave-output file)."""
+    shard.  Driver-callable; in a crawl it runs inside the
+    :func:`_route_refs_task` Ray tasks (one per chunk of finished
+    blocks)."""
     shard_buffers: dict[int, list[tuple]] = {}
     cols = {c: table.column(c).to_pylist() for c in FEEDBACK_COLUMNS}
     # host/domain shard ids are md5-derived — memoize (few distinct hosts

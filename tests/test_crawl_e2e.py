@@ -456,6 +456,27 @@ def test_speculative_schedule_e2e_parity(corpus, tmp_path_factory,
     assert set(seen) == set(ora["url_seen"].keys())
 
 
+def test_block_wait_leaves_feedback_remote(corpus, tmp_path_factory,
+                                           ray_session, monkeypatch):
+    """The driver waits on block tasks without pulling their feedback
+    tables into its own object store: the routing tasks fetch them."""
+    import ray
+
+    from neocrawler_ray.pipelines.crawl import CrawlJob
+
+    calls = []
+    real_wait = ray.wait
+
+    def spy(*args, **kw):
+        calls.append(kw.get("fetch_local", True))
+        return real_wait(*args, **kw)
+
+    monkeypatch.setattr(ray, "wait", spy)
+    out = str(tmp_path_factory.mktemp("wait_out"))
+    CrawlJob(corpus, _settings(), out).run(max_waves=2)
+    assert calls and not any(calls)
+
+
 def test_corpus_from_crawl_bridge(engine_out, tmp_path):
     """Frontier → training shards: the bridge over the crawl's
     extracted pages must (a) keep exactly the valid, ≥3-token,

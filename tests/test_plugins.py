@@ -93,13 +93,9 @@ def test_download_hook_replaces_fetch(corpus, tmp_path, ray_session):
         job.settings.download_retry}
 
 
-def test_raw_task_and_ray_data_paths_identical(corpus, tmp_path, ray_session):
-    """Differential invariant for the round-5 raw-task wave executor:
-    ``plugin=None`` runs the raw-task fan-out (each block task writes
-    its own parquet part + returns feedback refs), a plugin runs the
-    materializing Ray Data route — the two must produce value-identical
-    crawl artifacts: extracted rows (every column), per-wave schedule
-    logs, and wave/scheduled totals."""
+def _crawl_artifacts(out):
+    """(extracted rows, schedule log) of a finished crawl, both sorted
+    into a run-independent order."""
     import glob
     import os
 
@@ -107,25 +103,60 @@ def test_raw_task_and_ray_data_paths_identical(corpus, tmp_path, ray_session):
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
+    ext = pads.dataset(os.path.join(out, "extracted")).to_table()
+    df = (ext.to_pandas()
+          .sort_values(["wave", "seq", "nav_round"])
+          .reset_index(drop=True))
+    sched = pd.concat(
+        [pq.read_table(p).to_pandas() for p in
+         sorted(glob.glob(os.path.join(out, "schedule", "*.parquet")))],
+        ignore_index=True).sort_values(["wave", "seq"]).reset_index(drop=True)
+    return df, sched
+
+
+def test_plugin_run_matches_plain_run(corpus, tmp_path, ray_session):
+    """A plugin run takes the same raw-task wave path as a plain run:
+    a pass-through plugin leaves every artifact unchanged (extracted
+    rows in every column, schedule logs, totals), a sink sees each
+    extracted row exactly once, and sink order — the fixed part order
+    — makes a sink's state identical across runs."""
+    import pandas as pd
+
     from neocrawler_ray.pipelines.crawl import CrawlJob
 
-    outs = {}
-    totals = {}
-    for tag, plugin in (("raw", None), ("rd", PipelinePlugin())):
+    outs, totals = {}, {}
+    for tag, plugin in (("plain", None), ("pass", PipelinePlugin())):
         out = str(tmp_path / tag)
         totals[tag] = CrawlJob(corpus, _settings(), out, plugin=plugin).run()
-        ext = pads.dataset(os.path.join(out, "extracted")).to_table()
-        df = (ext.to_pandas()
-              .sort_values(["wave", "seq", "nav_round"])
-              .reset_index(drop=True))
-        sched = pd.concat(
-            [pq.read_table(p).to_pandas() for p in
-             sorted(glob.glob(os.path.join(out, "schedule", "*.parquet")))],
-            ignore_index=True).sort_values(["wave", "seq"]).reset_index(drop=True)
-        outs[tag] = (df, sched)
+        outs[tag] = _crawl_artifacts(out)
     for key in ("scheduled", "waves", "links_saved", "states"):
-        assert totals["raw"].get(key) == totals["rd"].get(key), key
-    (a_ext, a_sched), (b_ext, b_sched) = outs["raw"], outs["rd"]
+        assert totals["plain"].get(key) == totals["pass"].get(key), key
+    (a_ext, a_sched), (b_ext, b_sched) = outs["plain"], outs["pass"]
     assert a_ext.shape == b_ext.shape
     pd.testing.assert_frame_equal(a_ext, b_ext)
     pd.testing.assert_frame_equal(a_sched, b_sched)
+
+    class CountingSink(PipelinePlugin):
+        """Records every row it is handed (defined in-test so the
+        block tasks' workers unpickle it by value)."""
+
+        def __init__(self):
+            self.rows = []
+
+        def sink_batch(self, batch: pa.Table) -> None:
+            self.rows.extend(
+                zip(*(batch.column(c).to_pylist()
+                      for c in ("wave", "seq", "nav_round"))))
+
+    counting = CountingSink()
+    CrawlJob(corpus, _settings(), str(tmp_path / "count"),
+             plugin=counting).run()
+    assert sorted(counting.rows) == list(
+        a_ext[["wave", "seq", "nav_round"]].itertuples(index=False, name=None))
+
+    stores = []
+    for tag in ("dedup_a", "dedup_b"):
+        sink = ContentDedupSink()
+        CrawlJob(corpus, _settings(), str(tmp_path / tag), plugin=sink).run()
+        stores.append(list(sink.store.items()))
+    assert stores[0] and stores[0] == stores[1]

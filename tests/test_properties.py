@@ -4,7 +4,7 @@ the distributed pipelines rely on regardless of input shape."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neocrawler_ray.functions import dedup as dd
@@ -30,6 +30,33 @@ def test_url_functions_total(host, path):
     tld = url_tld(url)
     assert tld and host.endswith(tld)
     assert len(url_md5(url)) == 32
+
+
+# arbitrary text, plus scheme-prefixed text so most examples reach the
+# regex's host capture (brackets, userinfo, ports, control characters)
+_urlish = st.one_of(
+    st.text(),
+    st.builds(lambda scheme, rest: f"{scheme}://{rest}",
+              st.sampled_from(["http", "https", "HTTP", "a+b.c-d"]),
+              st.one_of(st.text(),
+                        st.text(alphabet="ab.:@[]/?#%0\t\r\n é",
+                                max_size=20))),
+)
+
+
+@given(st.lists(_urlish, min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+@example(["http://\r"])   # urlsplit strips tab/CR/LF
+@example(["http://0["])    # urlsplit raises ValueError → ""
+def test_hosts_vectorized_matches_url_host(urls):
+    """The crawl loop's C-regex host fast path agrees with ``url_host``
+    (urlsplit) on any text, not only url-shaped input."""
+    import pandas as pd
+
+    from neocrawler_ray.pipelines.crawl import hosts_vectorized
+
+    got = hosts_vectorized(pd.Series(urls, dtype=object)).tolist()
+    assert got == [(url_host(u) or "").lower() for u in urls]
 
 
 @given(st.lists(st.text(alphabet="abcdef:/._", min_size=1, max_size=40),
