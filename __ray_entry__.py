@@ -197,7 +197,7 @@ def _q_crawl_resume_equivalence(sf_dir: str):
             num_frontier_shards=8,
         )
         # "kill" after wave 2's checkpoint is durable, then resume: the
-        # restarted job restores frontier queues + cuckoo seen-set +
+        # restarted job restores frontier queues + url state +
         # first_schedule clocks and crawls only the remainder
         CrawlJob(corpus, settings, out).run(max_waves=2)
         CrawlJob(corpus, settings, out, resume=True).run()

@@ -42,8 +42,6 @@ class CrawlSettings:
 
     # --- engine distribution knobs --------------------------------------
     num_frontier_shards: int = 8
-    fetch_concurrency: int = 4
-    extract_concurrency: int = 4
     extract_batch_size: int = 256
     max_waves: int = 50
     logical_epoch_ms: int = 1_735_689_600_000    # 2025-01-01T00:00:00Z, logical clock base
@@ -57,13 +55,12 @@ class CrawlSettings:
 
     # --- frontier memory bound (0 = disabled; parity runs keep full state)
     # evict terminal per-URL state older than this many logical ms after
-    # each wave commit; cuckoo membership is permanent (see
-    # FrontierShard.spill_cold_state)
+    # each wave commit; a re-discovered evicted url is re-admitted as new
+    # (see FrontierShard.spill_cold_state)
     state_spill_keep_ms: int = 0
 
     # --- paths ----------------------------------------------------------
     checkpoint_dir: str | None = None
-    output_dir: str | None = None
 
     def wave_version(self, wave: int) -> int:
         """Deterministic logical timestamp for a wave (replaces the

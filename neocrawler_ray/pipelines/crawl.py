@@ -33,7 +33,7 @@ dominated wall time at high CPU counts and were restructured away
 (task-mode singletons, feedback column, queue-length schedule skip).
 
 Checkpoint/resume (north_rule): after every wave each shard snapshots
-(cuckoo bytes + queues + url state + metrics) to
+(url state + queues + retry queues + metrics) to
 ``ckpt/shard={i}/wave_{k}.pkl``; the driver writes an atomic manifest with
 the rule ``first_schedule`` clocks.  ``resume=True`` restores the latest
 complete wave and continues — waves already written are skipped (their
@@ -58,7 +58,7 @@ from ..stages.extract_stage import (FEEDBACK_COLUMNS, extract_batch_task,
 from ..stages.fetch import (browser_rules_map, build_robots_map,
                             cookie_rules_map, fetch_sim_batch,
                             load_partition_refs, proxy_rules_map)
-from ..state.frontier import FrontierShard
+from ..state.frontier import STATE_FORMAT_VERSION, FrontierShard
 from .scheduler import run_schedule_wave
 
 
@@ -376,15 +376,12 @@ class CrawlJob:
         scheduler has already advanced)."""
         fs = self._fs_snapshots.get(
             wave, {e["key"]: e["first_schedule"] for e in self.entries})
-        from neocrawler_ray.state.cuckoo import STATE_FORMAT_VERSION
-
         manifest = {
             "last_complete_wave": wave,
             "first_schedule": fs,
             "num_shards": len(self.shards),
-            # persisted-state schema version (cuckoo fingerprint scheme
-            # etc.) — resume refuses on mismatch instead of silently
-            # mixing fingerprint derivations
+            # shard snapshot layout version — resume refuses on
+            # mismatch instead of unpickling a different layout
             "state_format": STATE_FORMAT_VERSION,
         }
         tmp = os.path.join(self.ckpt_dir, ".manifest.tmp")
@@ -401,16 +398,13 @@ class CrawlJob:
         with open(path) as f:
             manifest = json.load(f)
         wave = manifest["last_complete_wave"]
-        from neocrawler_ray.state.cuckoo import STATE_FORMAT_VERSION
-
-        fmt = manifest.get("state_format", 1)  # pre-versioned ⇒ v1 (`| 1`
-        # odd-only fingerprints) — incompatible with the v2 remap
+        fmt = manifest.get("state_format", 1)  # pre-versioned ⇒ v1
         if fmt != STATE_FORMAT_VERSION:
             raise ValueError(
                 f"checkpoint state_format={fmt} but this build writes "
-                f"v{STATE_FORMAT_VERSION}: the cuckoo fingerprint scheme "
-                "changed, and resuming would mix derivations (false "
-                "positives + lookup misses) — re-run from scratch")
+                f"v{STATE_FORMAT_VERSION}: the frontier shard state "
+                "layout changed, so its snapshots cannot be restored — "
+                "re-run from scratch")
         want = manifest.get("num_shards")
         if want is not None and want != len(self.shards):
             raise ValueError(
@@ -439,19 +433,11 @@ class CrawlJob:
         """
         import ray
 
-        import time as _time
-
         s = self.settings
         max_waves = max_waves if max_waves is not None else s.max_waves
         pages_shards = self.corpus_meta.get("pages_shards", 16)
         totals: dict[str, int] = {}
         wave = self.start_wave
-        prof = {} if os.environ.get("NC_PROFILE") else None
-
-        def _tick(name, t0):
-            if prof is not None:
-                prof[name] = prof.get(name, 0.0) + (_time.perf_counter() - t0)
-            return _time.perf_counter()
 
         # in-flight commit of the previous wave: {"wave", "futures",
         # "spill", "do_ckpt"} — harvested after the NEXT wave's schedule
@@ -484,7 +470,6 @@ class CrawlJob:
             pending = None
 
         while wave < max_waves:
-            t = _time.perf_counter()
             self._maybe_reload_rules()
             # speculative (parallel-pop) scheduling is exact iff
             # politeness can never bind: total pops per wave ≤
@@ -502,9 +487,7 @@ class CrawlJob:
                 submit2=self._submit2, cast=self._cast,
                 speculative=spec_ok, columnar=True,
             )
-            t = _tick("schedule", t)
             _harvest()
-            t = _tick("harvest", t)
             if not scheduled["url"]:
                 break
             version = s.wave_version(wave)
@@ -516,7 +499,6 @@ class CrawlJob:
             sdir = os.path.join(self.out_dir, "schedule")
             os.makedirs(sdir, exist_ok=True)
             pq.write_table(sched_tbl, os.path.join(sdir, f"wave_{wave}.parquet"))
-            t = _tick("mark+log", t)
 
             # ---- the wave pipeline --------------------------------------
             # Blocks are built per PAGES-SHARD (url-host hash), so each
@@ -559,7 +541,6 @@ class CrawlJob:
                     j += 1
                 bounds.append((i, j))
                 i = j
-            t = _tick("blocks", t)
             # one broadcast of the wave table; each task slices its row
             # range zero-copy.  ONE fused task (fetch-sim + extract) per
             # block with worker-global singletons: worker processes (and
@@ -598,19 +579,16 @@ class CrawlJob:
                     num_returns=min(16, len(pending_blocks)),
                     fetch_local=False)
                 route_futs.append(route.remote(done, self.shards))
-            t = _tick("pipeline", t)
             fb_counts = {"rows": 0, "fail": 0, "finish": 0}
             for c in ray.get(route_futs):
                 for k in fb_counts:
                     fb_counts[k] += c[k]
-            t = _tick("feedback", t)
             if self.plugin is not None:
                 # pipeline.js:573-575 sink hook, driver-side per wave, in
                 # part order (deterministic across runs)
                 for part in parts:
                     self.plugin.sink_batch(pq.read_table(part))
                 self.plugin.alert("crawl_finish_alert", {"wave": wave, "n": n})
-                t = _tick("sink", t)
 
             # ---- deterministic frontier commit + checkpoint -------------
             # each shard writes its own checkpoint file (atomic) — the
@@ -642,7 +620,6 @@ class CrawlJob:
             # manifest when this wave's checkpoint becomes durable)
             self._fs_snapshots[wave] = {
                 e["key"]: e["first_schedule"] for e in self.entries}
-            t = _tick("commit", t)
 
             # --- T7 circuit breaker (extractor.js:416-423 wave analog):
             # running counter +1 per failed attempt, -1 per success,
@@ -674,20 +651,6 @@ class CrawlJob:
         if self._last_ckpt_started is not None:
             ray.get([s_.finish_checkpoints.remote() for s_ in self.shards])
             self._write_manifest(self._last_ckpt_started)
-        if prof is not None:
-            from . import scheduler as _sched
-
-            prof.update(_sched.PHASES)
-            _sched.PHASES.clear()
-            print("NC_PROFILE", {k: round(v, 2) for k, v in prof.items()},
-                  flush=True)
-            shard_perf: dict[str, float] = {}
-            for p in ray.get([sh.perf_stats.remote() for sh in self.shards]):
-                for k, v in p.items():
-                    shard_perf[k] = shard_perf.get(k, 0.0) + v
-            print("NC_PROFILE_SHARDS(sum)",
-                  {k: round(v, 2) for k, v in shard_perf.items()},
-                  flush=True)
         self._finalize(totals)
         return totals
 

@@ -22,15 +22,11 @@ Quota parity (scheduler/index.js:88, 124-157, 205-260):
 from __future__ import annotations
 
 import math
-import time as _time
 
 from ..config import CrawlSettings
 from ..functions.urls import expand_seed, url_md5, url_tld
 
 __all__ = ["shard_for_domain", "shard_for_url", "run_schedule_wave"]
-
-# NC_PROFILE sub-phase accumulators (read+reset by the crawl loop)
-PHASES: dict[str, float] = {}
 
 
 def shard_for_domain(domain: str, num_shards: int) -> int:
@@ -119,9 +115,10 @@ def run_schedule_wave(
     would see ``_check_url`` outcomes in a different order than the
     chained plan).  This holds by construction: link routing is
     first-match per URL (``_save_link`` routes a url_md5 to the first
-    matching urllib key and the seen-filter drops re-routes), and
-    ``FrontierShard._save_link`` carries a debug assertion that a
-    url_md5 never enters a second queue.
+    matching urllib key, and the url's ``url_info`` row keeps that
+    trace), and ``FrontierShard._save_link`` counts any save under a
+    different rule than the row's trace as ``trace_reroutes`` in
+    ``stats()`` (a T5 rules hot-reload is the legitimate source).
 
     One coupling survives even one-queue-per-url: ``push_seeds``
     touches url_info rows directly, so on a wave where some rule's
@@ -154,7 +151,6 @@ def run_schedule_wave(
             for sh, m, *a in requests:
                 submit(sh, m, *a)
 
-    _p0 = _time.perf_counter()
     num_shards = len(shards)
     version = settings.wave_version(wave)
     now = version
@@ -295,14 +291,11 @@ def run_schedule_wave(
         run_keys.append(urllib_key)
     submit_run()
 
-    _p1 = _time.perf_counter()
-    PHASES["sched_submit"] = PHASES.get("sched_submit", 0.0) + (_p1 - _p0)
     # the few-byte left refs resolve as soon as every pop has RUN (both
     # num_returns=2 objects materialize together) — without paying for
     # the accepted-row payload pull, which happens after the repairs
     # are already submitted
     spec_left_vals = resolve(spec_lefts) if spec_lefts else []
-    _t_lefts = _time.perf_counter()
 
     # --- speculative repair plan --------------------------------------
     # Reconstruct the true leftover-carry in serve order.  Rules that
@@ -354,17 +347,8 @@ def run_schedule_wave(
                 repair_out.append(out_tok)
                 pending_left = left_tok
                 carry_known = 0
-                PHASES["sched_repairs_n"] = (
-                    PHASES.get("sched_repairs_n", 0) + 1)
-    _t_rsub = _time.perf_counter()
     results = resolve(tokens)
-    _t_join2 = _time.perf_counter()
     repair_out = resolve(repair_out) if repair_out else []
-    _p3 = _time.perf_counter()
-    PHASES["sched_join"] = (PHASES.get("sched_join", 0.0)
-                            + (_t_lefts - _p1) + (_t_join2 - _t_rsub))
-    PHASES["sched_repair"] = (PHASES.get("sched_repair", 0.0)
-                              + (_t_rsub - _t_lefts) + (_p3 - _t_join2))
 
     # --- emit the schedule log in serve order --------------------------
     # columnar accumulation (6 list appends/row beats a dict alloc — the
@@ -441,6 +425,4 @@ def run_schedule_wave(
             for i, (u, k, v, rf, rl, rt) in enumerate(
                 zip(c_url, c_ulib, c_ver, c_ref, c_rel, c_retry))
         ]
-    PHASES["sched_emit"] = (PHASES.get("sched_emit", 0.0)
-                            + (_time.perf_counter() - _p3))
     return scheduled

@@ -35,12 +35,17 @@ from collections import deque
 
 from ..config import CrawlSettings
 from ..functions.urls import detect_link, transform_link, url_host, url_md5
-from .cuckoo import CuckooFilter
+
+
+# Snapshot layout version, written into the checkpoint manifest; resume
+# refuses any other version.  Bump whenever the dict ``snapshot()``
+# pickles changes keys or value shapes.  v3 dropped the ``"seen"``
+# filter table that v1/v2 snapshots carried.
+STATE_FORMAT_VERSION = 3
 
 
 class FrontierShard:
-    def __init__(self, shard_id: int, rules: dict, settings: CrawlSettings,
-                 seen_capacity: int = 1 << 17):
+    def __init__(self, shard_id: int, rules: dict, settings: CrawlSettings):
         self.shard_id = shard_id
         self.rules = rules
         self.settings = settings
@@ -52,7 +57,6 @@ class FrontierShard:
         # checkURL exactly as the reference's re-emit into the spider's
         # own download queue does
         self.retry_queues: dict[str, deque[tuple[str, int]]] = {}
-        self.seen = CuckooFilter(capacity=seen_capacity, seed=1000 + shard_id)
         # wave link/result buffer: applied in deterministic (seq) order at
         # commit_wave — makes parallel extract order-equivalent to the
         # reference's sequential pipeline.save (SURVEY.md §7.2)
@@ -60,8 +64,6 @@ class FrontierShard:
         # per-wave per-host politeness counters (reset by begin_wave)
         self._host_counts: dict[str, int] = {}
         self.metrics: dict[str, int] = {}
-        # cumulative per-method wall seconds (NC_PROFILE diagnostics)
-        self.perf: dict[str, float] = {}
 
     def begin_wave(self) -> None:
         """Reset wave-local politeness budgets (called at each wave start)."""
@@ -99,12 +101,7 @@ class FrontierShard:
     def drain_retries_many(self, urllib_keys: list[str],
                            now: int) -> list[list[tuple]]:
         """Batched ``drain_retries`` — one RPC per shard per wave."""
-        import time
-
-        _t0 = time.perf_counter()
-        out = [self.drain_retries(k, now) for k in urllib_keys]
-        self._ptick("drain", _t0)
-        return out
+        return [self.drain_retries(k, now) for k in urllib_keys]
 
     # ------------------------------------------------------------------
     # helpers
@@ -152,7 +149,6 @@ class FrontierShard:
         if version:
             info["version"] = version
         self.url_info[kk] = info
-        self.seen.add(kk)
         return True
 
     # ------------------------------------------------------------------
@@ -285,10 +281,7 @@ class FrontierShard:
         ``((drain_results, accepted_list), lefts)``: the few-byte
         per-rule lefts ride the second ``num_returns=2`` object so the
         driver plans repairs before pulling the payload."""
-        import time
-
         drains = self.drain_retries_many(drain_keys, now)
-        _t0 = time.perf_counter()
         accepted_list: list = []
         lefts: list[int] = []
         qlens: list[int] = []
@@ -302,36 +295,27 @@ class FrontierShard:
             # pop is a state-free no-op) and skip their RPC hop entirely
             q = self.queues.get(urllib_key)
             qlens.append(len(q) if q else 0)
-        self._ptick("pop", _t0)
         return (drains, accepted_list), (lefts, qlens)
 
-    def schedule_pop_run(self, reqs: list[tuple], left_in: int, now: int):
+    def schedule_pop_run_chained(self, reqs: list[tuple], prev, delta: int,
+                                 now: int):
         """A run of consecutive same-shard ``schedule_pop``s in one RPC,
         chaining the leftover-carry exactly as the driver loop would
-        (reqs: ``(urllib_key, ct_base, lifo, interval)``)."""
-        import time
-
-        _t0 = time.perf_counter()
+        (reqs: ``(urllib_key, ct_base, lifo, interval)``).  The incoming
+        leftover comes from the PREVIOUS run's result — a plain value
+        locally, a Ray-resolved ObjectRef when the driver submits the
+        whole pop chain without joining between runs (the leftover
+        scalar travels shard-to-shard as task-argument dataflow) — plus
+        ``delta`` quota accumulated driver-side for provably-empty rules
+        skipped in between."""
+        left = (prev[1] if isinstance(prev, (tuple, list))
+                else int(prev)) + delta
         out = []
-        left = left_in
         for urllib_key, ct_base, lifo, interval in reqs:
             accepted, left = self.schedule_pop(
                 urllib_key, ct_base + left, lifo, interval, now)
             out.append(accepted)
-        self._ptick("pop", _t0)
         return out, left
-
-    def schedule_pop_run_chained(self, reqs: list[tuple], prev, delta: int,
-                                 now: int):
-        """``schedule_pop_run`` whose leftover comes from the PREVIOUS
-        run's result — a plain value locally, a Ray-resolved ObjectRef
-        when the driver submits the whole pop chain without joining
-        between runs (the leftover scalar travels shard-to-shard as
-        task-argument dataflow), plus ``delta`` quota accumulated
-        driver-side for provably-empty rules skipped in between."""
-        left_in = (prev[1] if isinstance(prev, (tuple, list))
-                   else int(prev)) + delta
-        return self.schedule_pop_run(reqs, left_in, now)
 
     def queue_len(self, urllib_key: str) -> int:
         q = self.queues.get(urllib_key)
@@ -360,22 +344,9 @@ class FrontierShard:
         self._buffer.extend(rows)
         return len(self._buffer)
 
-    def _ptick(self, name: str, t0: float) -> float:
-        import time
-
-        t1 = time.perf_counter()
-        self.perf[name] = self.perf.get(name, 0.0) + (t1 - t0)
-        return t1
-
-    def perf_stats(self) -> dict:
-        return dict(self.perf)
-
     def commit_wave(self, now: int) -> dict:
         """Apply buffered link saves + state transitions in deterministic
         order; clears the buffer.  Returns per-event counts."""
-        import time
-
-        _t0 = time.perf_counter()
         kind_rank = {"link": 0, "state": 1, "retry": 1}
         self._buffer.sort(
             key=lambda r: (r[0], kind_rank[r[1]], r[2][:2] if r[1] == "link" else ())
@@ -402,7 +373,6 @@ class FrontierShard:
         self._buffer.clear()
         for k, v in counts.items():
             self._bump(k, v)
-        self._ptick("commit", _t0)
         return counts
 
     def commit_wave_and_checkpoint(self, now: int, ckpt_dir: str,
@@ -420,19 +390,14 @@ class FrontierShard:
         import os
         import threading
 
-        import time as _time
-
         counts = self.commit_wave(now)
-        _t = _time.perf_counter()
         if not do_ckpt:
             # checkpoint-cadence skip (deployment knob): state still
             # commits; resume replays the uncheckpointed waves
             # deterministically from the last snapshot
             return counts
         blob = self.snapshot()
-        _t = self._ptick("snapshot", _t)
         self.finish_checkpoints()  # prior wave durable before this writes
-        _t = self._ptick("ckpt_join", _t)
 
         def _write() -> None:
             d = os.path.join(ckpt_dir, f"shard={self.shard_id}")
@@ -501,7 +466,6 @@ class FrontierShard:
             if self.settings.keep_link_relation:
                 info["drill_relation"] = drill_relation or "*"
             self.url_info[kk] = info
-            self.seen.add(kk)
             validate = True
         if validate:
             # speculative-scheduler exactness guard (scheduler.py
@@ -523,32 +487,22 @@ class FrontierShard:
         return validate
 
     # ------------------------------------------------------------------
-    # spider-side state marks (spider/index.js:55-59, :80)
-    # ------------------------------------------------------------------
-    def mark_states(self, urls: list[str], state: str, now: int) -> int:
-        n = 0
-        for u in urls:
-            if self.update_link_state(u, state, False, now):
-                n += 1
-        return n
-
-    # ------------------------------------------------------------------
     # introspection / reports
     # ------------------------------------------------------------------
     def spill_cold_state(self, now: int, keep_ms: int,
                          spill_dir: str | None = None) -> int:
-        """10^10-frontier memory bound: evict rich per-URL state for
-        quiescent urls, keeping only cuckoo membership.
+        """10^10-frontier memory bound: evict per-URL state for quiescent
+        urls.
 
         An entry is cold when its terminal state (``crawled_finish`` /
         ``crawled_failure``) is older than ``keep_ms`` — i.e. every
         policy decision the frontier could make for it (interval
-        recrawl, lock expiry; T2 constants) would be "re-admit" anyway,
-        so dropping the rich record and letting a future re-discovery
-        re-admit it through the brand-new-url path is policy-equivalent.
-        The cuckoo filter still answers "seen" forever (the north_rule's
-        membership structure); evicted rows optionally land in a
-        per-shard Parquet spill for lineage.  Returns #evicted."""
+        recrawl, lock expiry; T2 constants) would be "re-admit" anyway.
+        Eviction is safe because a future re-discovery re-admits the url
+        through the brand-new-url path, which is exactly that decision;
+        nothing needs to remember the evicted url.  Evicted rows
+        optionally land in a per-shard Parquet spill for lineage.
+        Returns #evicted."""
         import pyarrow as pa
         import pyarrow.parquet as pq_
         import os
@@ -627,14 +581,6 @@ class FrontierShard:
             tbl, os.path.join(seen_dir, f"shard={self.shard_id}.parquet"))
         return tbl.num_rows
 
-    def dump_states(self) -> list[dict]:
-        return [
-            {"url_md5": kk, **{f: info.get(f) for f in
-                               ("url", "trace", "status", "version", "last",
-                                "referer", "drill_relation")}}
-            for kk, info in self.url_info.items()
-        ]
-
     # ------------------------------------------------------------------
     # checkpoint — north_rule: per-partition snapshot, exact resume
     # ------------------------------------------------------------------
@@ -646,7 +592,6 @@ class FrontierShard:
                 "queues": {k: list(v) for k, v in self.queues.items()},
                 "retry_queues": {k: list(v)
                                  for k, v in self.retry_queues.items()},
-                "seen": self.seen.to_bytes(),
                 "metrics": self.metrics,
             },
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -659,7 +604,6 @@ class FrontierShard:
         self.queues = {k: deque(v) for k, v in d["queues"].items()}
         self.retry_queues = {
             k: deque(tuple(x) for x in v)
-            for k, v in d.get("retry_queues", {}).items()}
-        self.seen = CuckooFilter.from_bytes(d["seen"])
+            for k, v in d["retry_queues"].items()}
         self.metrics = d["metrics"]
         self._buffer = []

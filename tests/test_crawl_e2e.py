@@ -11,6 +11,7 @@ import pytest
 
 from neocrawler_ray.config import CrawlSettings
 from neocrawler_ray.sources.pages_gen import generate_corpus
+from neocrawler_ray.state.frontier import STATE_FORMAT_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +24,7 @@ def corpus(tmp_path_factory):
 
 
 def _settings(**kw):
-    base = dict(num_frontier_shards=4, fetch_concurrency=2,
-                extract_concurrency=2, max_waves=60)
+    base = dict(num_frontier_shards=4, max_waves=60)
     base.update(kw)
     return CrawlSettings(**base)
 
@@ -214,31 +214,41 @@ def test_resume_from_checkpoint(corpus, tmp_path_factory, ray_session,
     assert seen_r == seen_f
 
 
-def test_resume_refuses_mismatched_state_format(corpus, tmp_path_factory,
-                                                ray_session):
-    """A checkpoint written under a different persisted-state schema
-    (e.g. the pre-r4 odd-only cuckoo fingerprint derivation, v1) must be
-    refused, not silently mixed — resuming across fingerprint schemes
-    yields both false positives and lookup misses."""
+@pytest.fixture(scope="module")
+def fmt_ckpt(corpus, tmp_path_factory, ray_session):
+    """A two-wave run's output dir and its checkpoint manifest."""
     import json
     import os
 
     from neocrawler_ray.pipelines.crawl import CrawlJob
-    from neocrawler_ray.state.cuckoo import STATE_FORMAT_VERSION
 
     out = str(tmp_path_factory.mktemp("fmt_out"))
     CrawlJob(corpus, _settings(), out).run(max_waves=2)
-    mpath = os.path.join(out, "ckpt", "manifest.json")
-    manifest = json.load(open(mpath))
+    with open(os.path.join(out, "ckpt", "manifest.json")) as f:
+        return out, json.load(f)
+
+
+@pytest.mark.parametrize(
+    "fmt", [*range(1, STATE_FORMAT_VERSION), None],
+    ids=lambda v: "absent" if v is None else f"v{v}")
+def test_resume_refuses_mismatched_state_format(corpus, fmt_ckpt, fmt):
+    """A checkpoint written under any older shard snapshot layout (v2
+    still pickled the cuckoo filter table; a manifest without the field
+    predates versioning) is refused, not unpickled into this build's
+    shards."""
+    import json
+    import os
+
+    from neocrawler_ray.pipelines.crawl import CrawlJob
+
+    out, manifest = fmt_ckpt
     assert manifest["state_format"] == STATE_FORMAT_VERSION
-    manifest["state_format"] = 1
-    with open(mpath, "w") as f:
-        json.dump(manifest, f)
-    with pytest.raises(ValueError, match="state_format"):
-        CrawlJob(corpus, _settings(), out, resume=True)
-    # pre-versioned manifests (field absent) are treated as v1: refused
-    del manifest["state_format"]
-    with open(mpath, "w") as f:
+    manifest = dict(manifest)
+    if fmt is None:
+        del manifest["state_format"]
+    else:
+        manifest["state_format"] = fmt
+    with open(os.path.join(out, "ckpt", "manifest.json"), "w") as f:
         json.dump(manifest, f)
     with pytest.raises(ValueError, match="state_format"):
         CrawlJob(corpus, _settings(), out, resume=True)

@@ -25,8 +25,7 @@ def corpus(tmp_path_factory):
 
 
 def _settings():
-    return CrawlSettings(num_frontier_shards=2, fetch_concurrency=1,
-                         extract_concurrency=1, max_waves=40)
+    return CrawlSettings(num_frontier_shards=2, max_waves=40)
 
 
 def test_debug_single_url_writes_artifacts(corpus, tmp_path):

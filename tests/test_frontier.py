@@ -1,11 +1,15 @@
-"""Unit tests: cuckoo filter, frontier policies (per-call-site lock
-constants, FIXTURES.md §5), weighted quota + leftover carry, FIFO/LIFO,
-politeness, snapshot/restore."""
+"""Unit tests: frontier policies (per-call-site lock constants,
+FIXTURES.md §5), weighted quota + leftover carry, FIFO/LIFO, politeness,
+and a snapshot/restore property over random operation sequences."""
+
+import pickle
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neocrawler_ray.config import CrawlSettings, RuleSet
 from neocrawler_ray.functions.urls import url_md5
 from neocrawler_ray.pipelines.scheduler import run_schedule_wave
-from neocrawler_ray.state.cuckoo import CuckooFilter
 from neocrawler_ray.state.frontier import FrontierShard
 
 DOMAIN = "site0.example"
@@ -33,30 +37,6 @@ RULES = {
 def mk_shard(**kw):
     settings = CrawlSettings(**kw)
     return FrontierShard(0, RULES, settings), settings
-
-
-# --------------------------- cuckoo ---------------------------------------
-def test_cuckoo_basic_and_snapshot():
-    cf = CuckooFilter(capacity=4096, seed=3)
-    keys = [f"url-{i}" for i in range(3000)]
-    for k in keys:
-        cf.add(k)
-    assert all(k in cf for k in keys)
-    # false-positive rate sane on unseen keys
-    fp = sum(f"other-{i}" in cf for i in range(3000))
-    assert fp < 60  # 16-bit fingerprints → ~<<2% expected
-    blob = cf.to_bytes()
-    cf2 = CuckooFilter.from_bytes(blob)
-    assert all(k in cf2 for k in keys)
-    assert len(cf2) == len(cf)
-
-
-def test_cuckoo_overflow_spills_exactly():
-    cf = CuckooFilter(capacity=64, seed=3)
-    keys = [f"k{i}" for i in range(400)]  # way past capacity
-    for k in keys:
-        cf.add(k)
-    assert all(k in cf for k in keys)  # spill set guarantees no false negatives
 
 
 # --------------------------- link-save policy -----------------------------
@@ -273,20 +253,85 @@ def test_speculative_schedule_no_carry_case():
 
 
 # --------------------------- snapshot/restore -----------------------------
-def test_snapshot_restore_roundtrip():
-    shard, settings = mk_shard()
-    for i in range(20):
-        shard._save_link(URLLIB, f"http://www.site0.example/item_{i}?id={i}",
-                         "http://ref", "*", 1, now=i)
+KEYS = [URLLIB, f"urllib:driller:{DOMAIN}:list"]
+# logical clock steps that straddle every lock constant: 10-min linksave,
+# 60-min scheduler / rule interval, 2-day hit lock
+_DT = st.sampled_from([0, 60_000, 11 * 60_000, 61 * 60_000,
+                       3 * 24 * 3600 * 1000])
+# url suffixes: arbitrary text (control characters included) and
+# query-shaped text that exercises id_parameter canonicalization
+_SUFFIX = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="0123456789id=?&#/\t\r\n\x00 é", max_size=12))
+_URL = st.builds(lambda kind, suf: f"http://www.site0.example/{kind}_{suf}",
+                 st.sampled_from(["item", "list", "other"]), _SUFFIX)
+_KEY = st.sampled_from(KEYS)
+# (kind, payload) in the buffer_results row layout
+_ROW = st.one_of(
+    st.tuples(st.just("link"),
+              st.tuples(st.just(0), st.just(0), _KEY, _URL, _URL,
+                        st.just("*"), st.integers(0, 3))),
+    st.tuples(st.just("state"),
+              st.tuples(_URL, st.sampled_from(["crawled_finish",
+                                               "crawled_failure"]))),
+    st.tuples(st.just("retry"), st.tuples(_URL, _KEY, st.integers(1, 3))),
+)
+_OP = st.one_of(
+    st.tuples(st.just("save"), _DT, _KEY, _URL, st.integers(0, 3)),
+    st.tuples(st.just("pop"), _DT, _KEY, st.integers(0, 6), st.booleans()),
+    st.tuples(st.just("commit"), _DT, st.lists(_ROW, max_size=8)),
+)
+
+
+def _apply(shard, ops) -> int:
+    now = 0
+    for op in ops:
+        now += op[1]
+        if op[0] == "save":
+            _, _, key, url, version = op
+            shard._save_link(key, url, "http://ref", "*", version, now)
+        elif op[0] == "pop":
+            _, _, key, ct, lifo = op
+            shard.begin_wave()
+            shard.schedule_pop(key, ct, lifo, 3600, now)
+        else:
+            shard.buffer_results([(seq, kind, payload) for seq, (kind, payload)
+                                  in enumerate(op[2])])
+            shard.commit_wave(now)
+    return now
+
+
+def _state(shard):
+    return (shard.url_info,
+            {k: list(v) for k, v in shard.queues.items()},
+            {k: list(v) for k, v in shard.retry_queues.items()},
+            shard.metrics, shard.seen_table())
+
+
+@given(st.lists(_OP, max_size=25), st.integers(0, 6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_snapshot_restore_roundtrip(ops, ct, lifo):
+    """``restore(snapshot())`` reproduces every piece of shard state the
+    engine reads, and the clone then schedules exactly as the original.
+    The snapshot's key set is pinned: changing it must bump
+    ``STATE_FORMAT_VERSION``."""
+    settings_ = CrawlSettings(politeness_per_host_per_wave=3)
+    shard = FrontierShard(0, RULES, settings_)
+    now = _apply(shard, ops) + 61 * 60_000
     blob = shard.snapshot()
-    clone = FrontierShard(0, RULES, settings)
+    assert set(pickle.loads(blob)) == {
+        "shard_id", "url_info", "queues", "retry_queues", "metrics"}
+    clone = FrontierShard(0, RULES, settings_)
     clone.restore(blob)
-    assert clone.url_info == shard.url_info
-    assert {k: list(v) for k, v in clone.queues.items()} == {
-        k: list(v) for k, v in shard.queues.items()
-    }
-    assert all(url_md5(f"http://www.site0.example/item_{i}?id={i}") in clone.seen
-               for i in range(20))
+    assert _state(clone) == _state(shard)
+
+    def next_wave(sh):
+        sh.begin_wave()
+        return (sh.drain_retries_many(KEYS, now),
+                [sh.schedule_pop(k, ct, lifo, 3600, now) for k in KEYS])
+
+    assert next_wave(clone) == next_wave(shard)
+    assert _state(clone) == _state(shard)
 
 
 def test_spill_cold_state_keeps_membership(tmp_path):
@@ -305,11 +350,11 @@ def test_spill_cold_state_keeps_membership(tmp_path):
     # still kept — an early eviction would let a re-discovered
     # crawled_finish url recrawl before its interval via the new-url path
     assert shard.spill_cold_state(now=1000, keep_ms=100) == 0
-    # cold past the clamp → evicted, membership survives in the cuckoo
+    # cold past the clamp → evicted from url_info
     cold_now = s.linksave_hit_lock_ms + 1000
     n = shard.spill_cold_state(now=cold_now, keep_ms=100,
                                spill_dir=str(tmp_path))
-    assert n == 1 and kk not in shard.url_info and kk in shard.seen
+    assert n == 1 and kk not in shard.url_info
     import glob
 
     assert glob.glob(str(tmp_path / "shard=*-spill-*.parquet"))

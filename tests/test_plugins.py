@@ -23,8 +23,7 @@ def corpus(tmp_path_factory):
 
 
 def _settings():
-    return CrawlSettings(num_frontier_shards=2, fetch_concurrency=1,
-                         extract_concurrency=1, max_waves=30)
+    return CrawlSettings(num_frontier_shards=2, max_waves=30)
 
 
 def test_sink_and_alert_hooks_fire(corpus, tmp_path, ray_session):

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the pure kernels: URL
-functions, cuckoo filter, dedup sketches, union-find — the invariants
-the distributed pipelines rely on regardless of input shape."""
+functions, dedup sketches, union-find — the invariants the distributed
+pipelines rely on regardless of input shape."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from neocrawler_ray.functions.urls import (
     url_md5,
     url_tld,
 )
-from neocrawler_ray.state.cuckoo import CuckooFilter
 
 words = st.text(alphabet="abcdefghij ", min_size=0, max_size=200)
 hostnames = st.from_regex(r"[a-z]{1,8}(\.[a-z]{1,8}){1,3}", fullmatch=True)
@@ -57,21 +56,6 @@ def test_hosts_vectorized_matches_url_host(urls):
 
     got = hosts_vectorized(pd.Series(urls, dtype=object)).tolist()
     assert got == [(url_host(u) or "").lower() for u in urls]
-
-
-@given(st.lists(st.text(alphabet="abcdef:/._", min_size=1, max_size=40),
-                min_size=1, max_size=50, unique=True))
-@settings(max_examples=50, deadline=None)
-def test_cuckoo_no_false_negatives(items):
-    f = CuckooFilter(capacity=1 << 10)
-    for it in items:
-        f.add(it)
-    for it in items:
-        assert it in f  # cuckoo filters may false-positive, never false-negative
-    # snapshot round-trip preserves membership exactly
-    g = CuckooFilter.from_bytes(f.to_bytes())
-    for it in items:
-        assert it in g
 
 
 @given(words)
