@@ -6762,7 +6762,7 @@ def orders_zorder(sf_dir: str):
 
     Reference: neocrawler shards its url_info space by md5-prefix
     buckets (lib/hbase.js row-key design) — one-dimensional locality;
-    this is the 2-D generalization a columnar lake needs."""
+    this is the 2-D generalization a column-store lake needs."""
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey",
                                   "o_orderdate"])
 

@@ -12,10 +12,10 @@ Each wave is one fan-out over the scheduled table::
       → route feedback columns → one buffer RPC per frontier shard
       → plugin sink (if any): the driver hands each written part to
         ``sink_batch`` in part order
-      → commit_wave (deterministic order) → checkpoint (async IO);
-        the commit barrier is submit-only and overlaps the NEXT wave's
-        schedule via per-shard actor ordering (harvested after the
-        schedule RPCs are queued)
+      → commit_wave (deterministic order) → checkpoint, written by
+        each shard inside the same commit call; the commit barrier is
+        submit-only and overlaps the NEXT wave's schedule via per-shard
+        actor ordering (harvested after the schedule RPCs are queued)
 
 The bulk analytics/corpus pipelines remain Ray Data end to end; only
 this iterative ~170-sub-second-task wave loop uses raw tasks, with or
@@ -34,10 +34,11 @@ dominated wall time at high CPU counts and were restructured away
 
 Checkpoint/resume (north_rule): after every wave each shard snapshots
 (url state + queues + retry queues + metrics) to
-``ckpt/shard={i}/wave_{k}.pkl``; the driver writes an atomic manifest with
-the rule ``first_schedule`` clocks.  ``resume=True`` restores the latest
-complete wave and continues — waves already written are skipped (their
-Parquet output is the resumable unit).
+``ckpt/shard={i}/wave_{k}.pkl`` before its commit call returns; when the
+driver harvests wave k's commits it writes an atomic manifest naming
+wave k, with the rule ``first_schedule`` clocks as of the end of wave k.
+``resume=True`` restores the latest complete wave and continues — waves
+already written are skipped (their Parquet output is the resumable unit).
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from ..stages.extract_stage import (FEEDBACK_COLUMNS, extract_batch_task,
 from ..stages.fetch import (browser_rules_map, build_robots_map,
                             cookie_rules_map, fetch_sim_batch,
                             load_partition_refs, proxy_rules_map)
-from ..state.frontier import STATE_FORMAT_VERSION, FrontierShard
+from ..state.frontier import (STATE_FORMAT_VERSION, FrontierShard,
+                              check_state_format)
 from .scheduler import run_schedule_wave
 
 
@@ -138,41 +140,24 @@ SCHED_SCHEMA = pa.schema(
 )
 
 
-def _scheduled_to_table(scheduled) -> pa.Table:
-    if isinstance(scheduled, dict):  # columnar fast path (scheduler emit)
-        n = len(scheduled["url"])
-        return pa.table(
-            {
-                "seq": pa.array(range(n), pa.int64()),
-                "wave": pa.array([scheduled["wave"]] * n, pa.int32()),
-                "url": pa.array(scheduled["url"], pa.string()),
-                "urllib": pa.array(scheduled["urllib"], pa.string()),
-                "version": pa.array(
-                    (int(v) for v in scheduled["version"]), pa.int64()),
-                "referer": pa.array(
-                    (r or "" for r in scheduled["referer"]), pa.string()),
-                "drill_relation": pa.array(
-                    (r or "*" for r in scheduled["drill_relation"]),
-                    pa.string()),
-                "retry": pa.array(
-                    (int(r or 0) for r in scheduled["retry"]), pa.int32()),
-            },
-            schema=SCHED_SCHEMA,
-        )
-    return pa.Table.from_pylist(
-        [
-            {
-                "seq": s["seq"],
-                "wave": s["wave"],
-                "url": s["url"],
-                "urllib": s["urllib"],
-                "version": int(s["version"]),
-                "referer": s.get("referer") or "",
-                "drill_relation": s.get("drill_relation") or "*",
-                "retry": int(s.get("retry") or 0),
-            }
-            for s in scheduled
-        ],
+def _scheduled_to_table(scheduled: dict) -> pa.Table:
+    n = len(scheduled["url"])
+    return pa.table(
+        {
+            "seq": pa.array(range(n), pa.int64()),
+            "wave": pa.array([scheduled["wave"]] * n, pa.int32()),
+            "url": pa.array(scheduled["url"], pa.string()),
+            "urllib": pa.array(scheduled["urllib"], pa.string()),
+            "version": pa.array(
+                (int(v) for v in scheduled["version"]), pa.int64()),
+            "referer": pa.array(
+                (r or "" for r in scheduled["referer"]), pa.string()),
+            "drill_relation": pa.array(
+                (r or "*" for r in scheduled["drill_relation"]),
+                pa.string()),
+            "retry": pa.array(
+                (int(r or 0) for r in scheduled["retry"]), pa.int32()),
+        },
         schema=SCHED_SCHEMA,
     )
 
@@ -233,18 +218,10 @@ class CrawlJob:
             plugin.assembly({"corpus_dir": corpus_dir, "out_dir": out_dir})
 
         self.start_wave = 0
-        # per-wave first_schedule snapshots for the lagged manifest: the
-        # manifest for wave k must carry the clocks AS OF the end of wave
-        # k — writing the live entries after wave k+1's scheduler advanced
-        # them made a resumed run skip reSchedules its replay performed
-        self._fs_snapshots: dict[int, dict[str, int]] = {}
         if resume:
             self.start_wave = self._restore_checkpoint()
         # T7 running ±failure counter (extractor.js:416-423 wave analog)
         self._cum_failure = 0
-        # newest wave whose checkpoint write has STARTED (manifest lags
-        # one checkpoint behind; None until the first snapshot)
-        self._last_ckpt_started: int | None = None
         # T5 hot-reload signature of rules.json
         self._rules_path = os.path.join(corpus_dir, "rules.json")
         self._rules_sig = self._rules_signature()[0]
@@ -252,35 +229,6 @@ class CrawlJob:
         # per-run host→pages-shard memo (few distinct hosts, md5-derived)
         self._host_shard_cache: dict[str, int] = {}
         self._rebuild_wave_kw()
-
-    # ------------------------------------------------------------------
-    def _submit(self, shard, method, *args):
-        """Queue one shard actor call; ObjectRef tokens let the wave
-        schedule submit its whole plan (drains, seed pushes, the
-        leftover-chained pop runs) and join ONCE — the quota chain's
-        leftover travels shard-to-shard as task-argument dataflow."""
-        return getattr(shard, method).remote(*args)
-
-    def _resolve(self, tokens):
-        import ray
-
-        return ray.get(list(tokens))
-
-    def _submit2(self, shard, method, *args):
-        """Two-return submit for the leftover-chained pop runs: the next
-        run's task depends only on the few-byte ``left`` ref, so the
-        chain never ships a run's accepted rows shard-to-shard."""
-        refs = getattr(shard, method).options(num_returns=2).remote(*args)
-        return refs[0], refs[1]
-
-    def _cast(self, requests):
-        """Submit-only batch (results unused, e.g. ``begin_wave``):
-        actor tasks from one caller run in submission order, so any
-        later call on the same shard happens-after these — no join
-        needed, and the previous wave's in-flight commit keeps running
-        under the schedule instead of being a driver barrier."""
-        for sh, m, *a in requests:
-            getattr(sh, m).remote(*a)
 
     # --- T5 rules hot-reload (wave-boundary re-expression of the
     #     reference's 120 s poll, scheduler/index.js:63-120) -------------
@@ -368,17 +316,14 @@ class CrawlJob:
     def ckpt_dir(self) -> str:
         return self.settings.checkpoint_dir or os.path.join(self.out_dir, "ckpt")
 
-    def _write_manifest(self, wave: int) -> None:
+    def _write_manifest(self, wave: int, first_schedule: dict) -> None:
         """Manifest written after every shard checkpoint file landed, so
-        a crash mid-wave resumes from the previous complete wave.  The
-        ``first_schedule`` clocks come from the snapshot captured at the
-        END of ``wave`` (not the live entries, which the next wave's
-        scheduler has already advanced)."""
-        fs = self._fs_snapshots.get(
-            wave, {e["key"]: e["first_schedule"] for e in self.entries})
+        a crash mid-wave resumes from the previous complete wave.
+        ``first_schedule`` holds the rule clocks as of the END of
+        ``wave``."""
         manifest = {
             "last_complete_wave": wave,
-            "first_schedule": fs,
+            "first_schedule": first_schedule,
             "num_shards": len(self.shards),
             # shard snapshot layout version — resume refuses on
             # mismatch instead of unpickling a different layout
@@ -398,13 +343,7 @@ class CrawlJob:
         with open(path) as f:
             manifest = json.load(f)
         wave = manifest["last_complete_wave"]
-        fmt = manifest.get("state_format", 1)  # pre-versioned ⇒ v1
-        if fmt != STATE_FORMAT_VERSION:
-            raise ValueError(
-                f"checkpoint state_format={fmt} but this build writes "
-                f"v{STATE_FORMAT_VERSION}: the frontier shard state "
-                "layout changed, so its snapshots cannot be restored — "
-                "re-run from scratch")
+        check_state_format(manifest)
         want = manifest.get("num_shards")
         if want is not None and want != len(self.shards):
             raise ValueError(
@@ -440,7 +379,7 @@ class CrawlJob:
         wave = self.start_wave
 
         # in-flight commit of the previous wave: {"wave", "futures",
-        # "spill", "do_ckpt"} — harvested after the NEXT wave's schedule
+        # "spill", "clocks"} — harvested after the NEXT wave's schedule
         # RPCs are queued (they happen-after each shard's commit via
         # actor ordering), so the commit barrier overlaps the schedule
         pending: dict | None = None
@@ -457,36 +396,20 @@ class CrawlJob:
                 totals["state_spilled"] = (
                     totals.get("state_spilled", 0)
                     + sum(ray.get(pending["spill"])))
-            if pending["do_ckpt"]:
-                # the PREVIOUS checkpoint's files are durable now (each
-                # shard joined its writer before starting this one) —
-                # the manifest lags one checkpoint
-                if self._last_ckpt_started is not None:
-                    self._write_manifest(self._last_ckpt_started)
-                    for w in list(self._fs_snapshots):
-                        if w <= self._last_ckpt_started:
-                            self._fs_snapshots.pop(w, None)
-                self._last_ckpt_started = pending["wave"]
+            if pending["clocks"] is not None:
+                # every shard renamed its checkpoint file into place
+                # before its commit call returned, so the manifest can
+                # name this wave now
+                self._write_manifest(pending["wave"], pending["clocks"])
             pending = None
 
         while wave < max_waves:
             self._maybe_reload_rules()
-            # speculative (parallel-pop) scheduling is exact iff
-            # politeness can never bind: total pops per wave ≤
-            # Σ ceil(avg·rate) ≤ quota + #rules (the carry only
-            # redistributes), so a per-host budget at/above that bound
-            # — or 0, politeness off — can never defer a pop.  Any
-            # binding budget keeps the leftover-chained plan.
-            budget = s.politeness_per_host_per_wave
-            spec_ok = (budget <= 0
-                       or budget >= (s.schedule_quantity_limitation
-                                     + len(self.entries)))
+            # the scheduler falls back to the chained plan wherever
+            # speculation would not be exact
             scheduled = run_schedule_wave(
                 wave, self.entries, self.total_rates, self.shards, s,
-                backlog_len=0, submit=self._submit, resolve=self._resolve,
-                submit2=self._submit2, cast=self._cast,
-                speculative=spec_ok, columnar=True,
-            )
+                speculative=True)
             _harvest()
             if not scheduled["url"]:
                 break
@@ -591,8 +514,9 @@ class CrawlJob:
                 self.plugin.alert("crawl_finish_alert", {"wave": wave, "n": n})
 
             # ---- deterministic frontier commit + checkpoint -------------
-            # each shard writes its own checkpoint file (atomic) — the
-            # per-partition snapshot bytes never ship through the driver.
+            # each shard writes its own checkpoint file (atomic rename)
+            # inside the commit call — the per-partition snapshot bytes
+            # never ship through the driver.
             # SUBMIT-ONLY here: the futures are harvested after the next
             # wave's schedule RPCs are queued (which happen-after each
             # shard's commit by actor ordering) — the commit barrier
@@ -602,7 +526,12 @@ class CrawlJob:
             do_ckpt = (wave + 1) % s.checkpoint_every == 0
             pending = {
                 "wave": wave,
-                "do_ckpt": do_ckpt,
+                # clocks as of the end of THIS wave: by harvest time the
+                # next wave's schedule has already advanced the live
+                # entries, and a manifest carrying those would make a
+                # resumed run skip reSchedules its replay must perform
+                "clocks": ({e["key"]: e["first_schedule"]
+                            for e in self.entries} if do_ckpt else None),
                 "futures": [
                     shard.commit_wave_and_checkpoint.remote(
                         version, self.ckpt_dir, wave, do_ckpt)
@@ -616,10 +545,6 @@ class CrawlJob:
                     if s.state_spill_keep_ms else []),
             }
             totals["scheduled"] = totals.get("scheduled", 0) + n
-            # clocks as of the end of THIS wave (consumed by the lagged
-            # manifest when this wave's checkpoint becomes durable)
-            self._fs_snapshots[wave] = {
-                e["key"]: e["first_schedule"] for e in self.entries}
 
             # --- T7 circuit breaker (extractor.js:416-423 wave analog):
             # running counter +1 per failed attempt, -1 per success,
@@ -648,9 +573,6 @@ class CrawlJob:
 
         _harvest()
         totals["waves"] = wave
-        if self._last_ckpt_started is not None:
-            ray.get([s_.finish_checkpoints.remote() for s_ in self.shards])
-            self._write_manifest(self._last_ckpt_started)
         self._finalize(totals)
         return totals
 

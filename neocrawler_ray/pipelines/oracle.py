@@ -73,13 +73,19 @@ def run_oracle(corpus_dir: str, settings: CrawlSettings,
 
     wave = 0
     while wave < max_waves:
-        scheduled = run_schedule_wave(
-            wave, entries, total_rates, [shard], settings, backlog_len=0
-        )
-        if not scheduled:
+        cols = run_schedule_wave(wave, entries, total_rates, [shard],
+                                 settings)
+        if not cols["url"]:
             break
         version = settings.wave_version(wave)
         # 'crawling' marks are folded into the pop/seed path in the shard
+        scheduled = [
+            {"seq": i, "url": u, "urllib": k, "version": v, "referer": rf,
+             "drill_relation": rl, "wave": wave, "retry": rt}
+            for i, (u, k, v, rf, rl, rt) in enumerate(zip(
+                cols["url"], cols["urllib"], cols["version"],
+                cols["referer"], cols["drill_relation"], cols["retry"]))
+        ]
         schedule_log.extend(scheduled)
 
         for row in scheduled:

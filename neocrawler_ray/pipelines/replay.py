@@ -19,14 +19,16 @@ import json
 import os
 import pickle
 import re
-from collections import deque
 
-from ..functions.urls import url_md5
+from ..state.frontier import check_state_format
 
 
 def _latest_snapshots(ckpt_dir: str) -> list[tuple[str, dict]]:
     with open(os.path.join(ckpt_dir, "manifest.json")) as f:
         manifest = json.load(f)
+    # a snapshot of another layout is refused here, as resume refuses
+    # it — never "repaired" into a checkpoint resume cannot read
+    check_state_format(manifest)
     wave = manifest["last_complete_wave"]
     out = []
     for path in sorted(glob.glob(os.path.join(ckpt_dir, "shard=*"))):
@@ -43,68 +45,61 @@ def _save(path: str, snap: dict) -> None:
     os.replace(tmp, path)
 
 
-def replay_failures(ckpt_dir: str, pattern: str = ".*") -> int:
-    """``pfq``: re-admit ``crawled_failure`` urls whose urllib key
-    matches ``pattern`` — status resets to ``hit`` (immediately
-    schedulable, scheduler/index.js:379) and the url rejoins its queue
-    unless already present.  Returns the number of urls replayed."""
-    rx = re.compile(pattern)
+def _requeue(ckpt_dir: str, pick) -> int:
+    """Re-admit every url_info row that ``pick(snap)`` — a predicate
+    built per shard snapshot — accepts: status resets to ``hit``
+    (immediately schedulable, scheduler/index.js:379) and the url
+    rejoins its trace's queue unless already present.  Returns the
+    number of urls re-queued."""
     n = 0
     for path, snap in _latest_snapshots(ckpt_dir):
-        queues: dict[str, deque] = {
-            k: deque(v) for k, v in snap["queues"].items()
-        }
+        want = pick(snap)
+        queues = {k: list(v) for k, v in snap["queues"].items()}
         membership = {k: set(q) for k, q in queues.items()}
-        for kk, info in snap["url_info"].items():
-            if info.get("status") != "crawled_failure":
-                continue
-            trace = info.get("trace") or ""
-            if not rx.search(trace):
-                continue
-            url = info.get("url")
-            if not url:
+        for info in snap["url_info"].values():
+            url, trace = info.get("url"), info.get("trace") or ""
+            if not url or not want(info, trace):
                 continue
             info["status"] = "hit"
             if url not in membership.setdefault(trace, set()):
-                queues.setdefault(trace, deque()).append(url)
+                queues.setdefault(trace, []).append(url)
                 membership[trace].add(url)
                 n += 1
-        snap["queues"] = {k: list(v) for k, v in queues.items()}
+        snap["queues"] = queues
         _save(path, snap)
     return n
+
+
+def replay_failures(ckpt_dir: str, pattern: str = ".*") -> int:
+    """``pfq``: re-admit ``crawled_failure`` urls whose urllib key
+    matches ``pattern``.  Returns the number of urls replayed."""
+    rx = re.compile(pattern)
+
+    def want(info, trace):
+        return info.get("status") == "crawled_failure" and rx.search(trace)
+
+    return _requeue(ckpt_dir, lambda snap: want)
 
 
 def replay_stuck(ckpt_dir: str, older_than_ms: int,
                  now: int | None = None) -> int:
     """``psq``: urls locked in ``crawling``/``schedule`` longer than
     ``older_than_ms`` (a dead worker's in-flight window) return to their
-    queues as ``hit``.  ``now`` defaults to the max ``last`` stamp."""
-    n = 0
-    for path, snap in _latest_snapshots(ckpt_dir):
+    queues as ``hit``.  ``now`` defaults to the shard snapshot's max
+    ``last`` stamp."""
+    def pick(snap):
         clock = now
         if clock is None:
             clock = max(
                 (int(i.get("last") or 0) for i in snap["url_info"].values()),
                 default=0,
             )
-        queues = {k: deque(v) for k, v in snap["queues"].items()}
-        membership = {k: set(q) for k, q in queues.items()}
-        for kk, info in snap["url_info"].items():
-            if info.get("status") not in ("crawling", "schedule"):
-                continue
-            if clock - int(info.get("last") or 0) < older_than_ms:
-                continue
-            url, trace = info.get("url"), info.get("trace") or ""
-            if not url or not trace:
-                continue
-            info["status"] = "hit"
-            if url not in membership.setdefault(trace, set()):
-                queues.setdefault(trace, deque()).append(url)
-                membership[trace].add(url)
-                n += 1
-        snap["queues"] = {k: list(v) for k, v in queues.items()}
-        _save(path, snap)
-    return n
+        return lambda info, trace: (
+            info.get("status") in ("crawling", "schedule")
+            and clock - int(info.get("last") or 0) >= older_than_ms
+            and bool(trace))
+
+    return _requeue(ckpt_dir, pick)
 
 
 def dedup_queues(ckpt_dir: str) -> int:

@@ -10,8 +10,9 @@ reference's single-scheduler total order of scheduling decisions
 
 Quota parity (scheduler/index.js:88, 124-157, 205-260):
 - ``rate = (max_weight + weight) / priority`` per rule;
-- ``balance = schedule_quantity_limitation - backlog``; ``avg = balance /
-  total_rates``;
+- ``avg = schedule_quantity_limitation / total_rates`` — the reference
+  first subtracts the spider's queue backlog, which is always 0 here:
+  every wave crawls all it scheduled before the next round;
 - rules served sorted by rate desc; per rule ``ct = ceil(avg*rate) +
   leftover``; unmet quota carries to the next rule;
 - a rule re-seeds when ``now - first_schedule >= interval*1000``; seed
@@ -38,59 +39,81 @@ def shard_for_url(url: str, num_shards: int) -> int:
     return shard_for_domain(tld, num_shards)
 
 
+def _dispatch(shards: list):
+    """``(submit, submit_pair, resolve)`` for the shard type.  Ray actor
+    handles (their methods have ``.remote``) get ``.remote`` /
+    ``.options(num_returns=2).remote`` / ``ray.get``; a local
+    :class:`FrontierShard` gets direct calls, so a token is the result
+    itself.  ``submit_pair`` hands back ``(rows, left)`` separately: the
+    next chained run's task depends only on the few-byte ``left`` ref,
+    never on the previous run's accepted rows."""
+    if hasattr(shards[0].begin_wave, "remote"):
+        import ray
+
+        def submit(shard, method, *args):
+            return getattr(shard, method).remote(*args)
+
+        def submit_pair(shard, method, *args):
+            return tuple(getattr(shard, method)
+                         .options(num_returns=2).remote(*args))
+
+        return submit, submit_pair, ray.get
+
+    def submit(shard, method, *args):
+        return getattr(shard, method)(*args)
+
+    return submit, submit, list
+
+
 def run_schedule_wave(
     wave: int,
     priority_entries: list[dict],
     total_rates: float,
     shards: list,
     settings: CrawlSettings,
-    backlog_len: int = 0,
-    cast=None,
-    submit=None,
-    resolve=None,
-    submit2=None,
     speculative: bool = False,
-    columnar: bool = False,
-):
+) -> dict:
     """One scheduler round.  ``shards[i]`` may be a local
     :class:`FrontierShard` or a Ray actor handle.
 
     The round is submitted as ONE asynchronous plan and joined once:
 
-    - ``submit(shard, method, *args) -> token`` queues a shard call and
-      returns an opaque token; ``resolve(tokens) -> results`` realizes
-      them all.  The engine passes Ray ``.remote`` / ``ray.get``.
-    - The leftover-carry between consecutive pop runs never touches the
+    - every shard call is queued up front (actor ``.remote`` calls, or
+      immediate calls on local shards) and the results are realized
+      together at the end;
+    - the leftover-carry between consecutive pop runs never touches the
       driver: each run is submitted as ``schedule_pop_run_chained`` with
-      the PREVIOUS run's token as an argument (Ray resolves it on the
+      the PREVIOUS run's left ref as an argument (Ray resolves it on the
       receiving shard), so the quota chain is shard-to-shard dataflow
-      with no per-run driver round trip.
-    - ``cast(requests)`` is the submit-only variant for calls whose
-      results are unused (``begin_wave``).
+      with no per-run driver round trip;
+    - ``begin_wave`` is submitted and its result dropped: actor tasks
+      from one caller run in submission order, so every later call on
+      the same shard happens-after it, and the previous wave's in-flight
+      commit keeps running under the schedule.
 
     Ordering semantics are EXACTLY the sequential driver loop's: per
     shard, tasks execute in submission order (Ray actor guarantee /
-    immediate execution in the local default), which is the reference's
+    immediate execution on a local shard), which is the reference's
     serve order; cross-shard state is disjoint (every url lives on one
     shard), so the only cross-shard dependency is the leftover scalar —
-    carried by the token chain.  The defaults execute synchronously, so
-    the sequential oracle path is byte-identical to before.
+    carried by the ref chain.  Local shards execute synchronously, so the
+    sequential oracle path is the plain loop.
 
-    Returns ``scheduled``: ordered list of dicts
-    ``{seq, url, urllib, version, referer, drill_relation, wave, retry}``
-    — the wave's crawl batch AND the schedule-order parity log.  With
-    ``columnar=True`` (the engine's hot path) the same rows come back as
-    one dict of parallel column lists (plus scalar ``wave``; ``seq`` is
-    the list index) — skipping the 62k-dict materialization the oracle
-    and tests still get by default.
+    Returns the wave's crawl batch AND the schedule-order parity log as
+    one dict of parallel column lists ``{url, urllib, version, referer,
+    drill_relation, retry}`` plus the scalar ``wave``; a row's ``seq`` is
+    its list index.
 
-    ``speculative=True`` replaces the leftover-chained pop plan — whose
-    critical path is one actor hop per run, ~#rules hops per wave —
-    with ONE parallel round of per-rule ``schedule_pop(ct_base)`` calls
-    plus rare driver-issued "repair" pops, and is byte-identical to the
-    chained plan whenever the caller proves politeness can never bind
-    (``politeness_per_host_per_wave == 0`` or ≥ the wave's total quota
-    bound — the gate in crawl.py).  Why exact:
+    ``speculative=True`` ALLOWS the plan to replace the leftover-chained
+    pops — whose critical path is one actor hop per run, ~#rules hops per
+    wave — with ONE parallel round of per-rule ``schedule_pop(ct_base)``
+    calls plus rare driver-issued "repair" pops.  The plan takes that
+    route only where it is byte-identical to the chained plan, and
+    otherwise falls back to the chained plan itself.  Why exact when
+    politeness can never bind (``politeness_per_host_per_wave == 0``, or
+    ≥ quota + #rules — total pops per wave are ≤ Σ ceil(avg·rate) ≤
+    quota + #rules, the carry only redistributes, so such a per-host
+    budget never defers a pop):
 
     - per-rule state (queue, url states) is disjoint, and with
       politeness provably idle there is NO cross-rule shard state, so
@@ -104,6 +127,11 @@ def run_schedule_wave(
       pop for the true carry; a rule that stopped early exhausted its
       queue, and extra quota could not have popped more — its true
       leftover just joins the carry arithmetic on the driver.
+
+    A binding budget breaks the first point: rules sharing a host share
+    its per-wave count, so a repair pop that runs after a later rule's
+    speculative pop sees a different remaining budget than the chained
+    plan's in-order pop.
 
     Repairs are issued only for quota-limited rules reached with a
     positive carry; with wave quota sized above the frontier's actual
@@ -127,37 +155,19 @@ def run_schedule_wave(
     resolve, i.e. after B's seed push executed on the shard) observe
     the freshly stamped state — a different ``_check_url`` order than
     the chained plan, where A's carry pop precedes B's push.  Seed
-    waves are rare (first wave + every ``interval``), so the plan
-    DOWNGRADES ITSELF to the exact chained form on any wave with a due
-    seed refresh — speculation only ever runs on pop-only waves, where
-    the argument above is complete.
+    waves are rare (first wave + every ``interval``), so the plan also
+    falls back on any wave with a due seed refresh — speculation only
+    ever runs on pop-only waves, where the argument above is complete.
     """
-    if submit is None:
-        def submit(shard, method, *args):
-            return getattr(shard, method)(*args)
-    if resolve is None:
-        def resolve(tokens):
-            return list(tokens)
-    if submit2 is None:
-        # sync default: run now, hand back (rows, left) separately so the
-        # chain carries only the scalar (the Ray impl maps this to
-        # ``num_returns=2`` — the next shard pulls a few-byte left ref,
-        # not the previous run's accepted rows)
-        def submit2(shard, method, *args):
-            res = submit(shard, method, *args)
-            return res[0], res[1]
-    if cast is None:
-        def cast(requests):
-            for sh, m, *a in requests:
-                submit(sh, m, *a)
-
+    submit, submit_pair, resolve = _dispatch(shards)
     num_shards = len(shards)
     version = settings.wave_version(wave)
     now = version
-    balance = max(0, settings.schedule_quantity_limitation - backlog_len)
-    avg_rate = balance / total_rates if total_rates else 0.0
+    quota = settings.schedule_quantity_limitation
+    avg_rate = quota / total_rates if total_rates else 0.0
 
-    cast([(shard, "begin_wave") for shard in shards])
+    for shard in shards:
+        submit(shard, "begin_wave")
 
     tokens: list = []
 
@@ -168,12 +178,16 @@ def run_schedule_wave(
     steps: list[tuple] = []
     spec_lefts: list = []  # per-spec-pop few-byte left refs/values
 
-    # seed-refresh waves keep the chained plan (see the docstring's
-    # exactness argument: repair pops must not run after a later rule's
-    # push_seeds has stamped shared url_info state)
-    if speculative and any(
-            now - e["first_schedule"] >= e["interval"] * 1000
-            for e in priority_entries):
+    # the speculation gate (the docstring's exactness argument): a
+    # binding politeness budget couples rules that share a host, and on
+    # a seed-refresh wave repair pops would run after a later rule's
+    # push_seeds stamped shared url_info state — both keep the chained
+    # plan
+    budget = settings.politeness_per_host_per_wave
+    if speculative and (
+            0 < budget < quota + len(priority_entries)
+            or any(now - e["first_schedule"] >= e["interval"] * 1000
+                   for e in priority_entries)):
         speculative = False
 
     # --- T6 retry drain (spider/spider.js:350-362) --------------------
@@ -210,7 +224,7 @@ def run_schedule_wave(
         shard_tok: dict[int, int] = {}
         shard_ltok: dict[int, int] = {}
         for sid in sorted(shard_pops):
-            payload_tok, lefts_tok = submit2(
+            payload_tok, lefts_tok = submit_pair(
                 shards[sid], "schedule_wave_spec",
                 shard_drains[sid], shard_pops[sid], now)
             tokens.append(payload_tok)
@@ -250,7 +264,7 @@ def run_schedule_wave(
         nonlocal prev, run_sid, run_reqs, run_keys
         if not run_reqs:
             return
-        out_tok, left_tok = submit2(
+        out_tok, left_tok = submit_pair(
             shards[run_sid], "schedule_pop_run_chained",
             list(run_reqs), prev, 0, now)
         tokens.append(out_tok)
@@ -338,7 +352,7 @@ def run_schedule_wave(
                 carry_known += left
             elif ((carry_known > 0 or pending_left is not None)
                   and qlens_l[pos] > 0):
-                out_tok, left_tok = submit2(
+                out_tok, left_tok = submit_pair(
                     shards[sid], "schedule_pop_run_chained",
                     [(urllib_key, 0, lifo, interval)],
                     pending_left if pending_left is not None else 0,
@@ -351,9 +365,8 @@ def run_schedule_wave(
     repair_out = resolve(repair_out) if repair_out else []
 
     # --- emit the schedule log in serve order --------------------------
-    # columnar accumulation (6 list appends/row beats a dict alloc — the
-    # emit loop measured 0.3 s/wave driver-serial at 62k attempts); the
-    # dict rows the oracle/tests consume are materialized once at the end
+    # column-list accumulation (6 list appends/row beats a dict alloc —
+    # the emit loop measured 0.3 s/wave driver-serial at 62k attempts)
     c_url: list = []
     c_ulib: list = []
     c_ver: list = []
@@ -370,8 +383,8 @@ def run_schedule_wave(
         c_retry.append(retry)
 
     def _emit_many(cols, urllib_key):
-        # bulk path for pop results — already COLUMNAR from the shard
-        # (4 parallel lists), so the emit is pure list.extend with no
+        # bulk path for pop results — already column lists from the
+        # shard (4 parallel lists), so the emit is pure list.extend with no
         # per-row transpose; the emit loop is driver-serial
         u, v, rf, rl = cols
         c_url.extend(u)
@@ -414,15 +427,5 @@ def run_schedule_wave(
             for urllib_key, accepted in zip(keys, out):
                 if accepted[0]:
                     _emit_many(accepted, urllib_key)
-    if columnar:
-        scheduled = {"wave": wave, "url": c_url, "urllib": c_ulib,
-                     "version": c_ver, "referer": c_ref,
-                     "drill_relation": c_rel, "retry": c_retry}
-    else:
-        scheduled = [
-            {"seq": i, "url": u, "urllib": k, "version": v, "referer": rf,
-             "drill_relation": rl, "wave": wave, "retry": rt}
-            for i, (u, k, v, rf, rl, rt) in enumerate(
-                zip(c_url, c_ulib, c_ver, c_ref, c_rel, c_retry))
-        ]
-    return scheduled
+    return {"wave": wave, "url": c_url, "urllib": c_ulib, "version": c_ver,
+            "referer": c_ref, "drill_relation": c_rel, "retry": c_retry}

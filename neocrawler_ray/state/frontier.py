@@ -44,6 +44,19 @@ from ..functions.urls import detect_link, transform_link, url_host, url_md5
 STATE_FORMAT_VERSION = 3
 
 
+def check_state_format(manifest: dict) -> None:
+    """Refuse a checkpoint whose manifest names another snapshot layout
+    (a manifest without the field predates versioning: v1) — raised
+    before any snapshot is unpickled or rewritten."""
+    fmt = manifest.get("state_format", 1)
+    if fmt != STATE_FORMAT_VERSION:
+        raise ValueError(
+            f"checkpoint state_format={fmt} but this build writes "
+            f"v{STATE_FORMAT_VERSION}: the frontier shard state layout "
+            "changed, so its snapshots cannot be restored — re-run from "
+            "scratch")
+
+
 class FrontierShard:
     def __init__(self, shard_id: int, rules: dict, settings: CrawlSettings):
         self.shard_id = shard_id
@@ -79,29 +92,29 @@ class FrontierShard:
     # T6 retry drain — retryCrawl re-emits into the spider's own queue
     # (spider/spider.js:350-362); the wave analog is "first in next wave"
     # ------------------------------------------------------------------
-    def drain_retries(self, urllib_key: str, now: int) -> list[tuple]:
-        """Pop ALL pending retries for one rule (FIFO).  Returns
-        ``(url, version, referer, drill_relation, retry)`` rows; marks
-        each picked url ``crawling`` like any scheduled pickup."""
-        q = self.retry_queues.get(urllib_key)
-        out: list[tuple] = []
-        while q:
-            url, retry = q.popleft()
-            info = self.url_info.get(url_md5(url)) or {}
-            out.append(
-                (url,
-                 int(info.get("version") or 0),
-                 info.get("referer", ""),
-                 info.get("drill_relation", "*") or "*",
-                 retry)
-            )
-            self.update_link_state(url, "crawling", False, now)
-        return out
-
     def drain_retries_many(self, urllib_keys: list[str],
                            now: int) -> list[list[tuple]]:
-        """Batched ``drain_retries`` — one RPC per shard per wave."""
-        return [self.drain_retries(k, now) for k in urllib_keys]
+        """Pop ALL pending retries (FIFO) of each rule in ``urllib_keys``
+        — one RPC per shard per wave.  Returns one list of ``(url,
+        version, referer, drill_relation, retry)`` rows per rule; marks
+        each picked url ``crawling`` like any scheduled pickup."""
+        drained = []
+        for urllib_key in urllib_keys:
+            q = self.retry_queues.get(urllib_key)
+            out: list[tuple] = []
+            while q:
+                url, retry = q.popleft()
+                info = self.url_info.get(url_md5(url)) or {}
+                out.append(
+                    (url,
+                     int(info.get("version") or 0),
+                     info.get("referer", ""),
+                     info.get("drill_relation", "*") or "*",
+                     retry)
+                )
+                self.update_link_state(url, "crawling", False, now)
+            drained.append(out)
+        return drained
 
     # ------------------------------------------------------------------
     # helpers
@@ -155,30 +168,25 @@ class FrontierShard:
     # seed push — scheduler reSchedule path (scheduler/index.js:163-198):
     # state-stamp then straight onto the scheduled queue (bypasses checkURL)
     # ------------------------------------------------------------------
-    def push_seed(self, link: str, version: int, now: int) -> bool:
-        ok = self.update_link_state(link, "schedule", version, now)
-        if ok:
-            self._bump("seed_scheduled")
-        return ok
-
-    # ------------------------------------------------------------------
-    # checkURL — scheduler/index.js:336-410
-    # ------------------------------------------------------------------
     def push_seeds(self, links: list[str], version: int, now: int) -> list[bool]:
-        """Batched ``push_seed`` (one RPC per shard per rule instead of one
-        per seed) — same per-link semantics and within-shard order.  The
-        spider-side ``crawling`` mark (spider/index.js:55-59) is folded in
-        for accepted seeds: every scheduled url is picked up this wave, and
-        ``schedule``/``crawling`` take the same lock branch in checkURL, so
-        admission decisions are unchanged — one RPC replaces two."""
+        """Stamp each seed ``schedule`` (one RPC per shard per rule, in
+        seed order).  The spider-side ``crawling`` mark
+        (spider/index.js:55-59) is folded in for accepted seeds: every
+        scheduled url is picked up this wave, and ``schedule``/``crawling``
+        take the same lock branch in checkURL, so admission decisions are
+        unchanged — one RPC replaces two."""
         out = []
         for link in links:
-            ok = self.push_seed(link, version, now)
+            ok = self.update_link_state(link, "schedule", version, now)
             if ok:
+                self._bump("seed_scheduled")
                 self.update_link_state(link, "crawling", False, now)
             out.append(ok)
         return out
 
+    # ------------------------------------------------------------------
+    # checkURL — scheduler/index.js:336-410
+    # ------------------------------------------------------------------
     def _check_url(self, url: str, interval: int, now: int, _depth: int = 0):
         if _depth > 4:
             return None
@@ -223,10 +231,10 @@ class FrontierShard:
                      now: int):
         """Pop up to ``ct`` admissible urls from one rule's queue.
 
-        Returns ``(accepted, left)`` where ``accepted`` is COLUMNAR —
-        four parallel lists ``(urls, versions, referers, drill_relations)``
-        — and ``left`` the unmet quota carried to the next rule
-        (leftover-carry parity).  The columnar shape keeps the driver's
+        Returns ``(accepted, left)`` where ``accepted`` is four parallel
+        column lists ``(urls, versions, referers, drill_relations)`` —
+        and ``left`` the unmet quota carried to the next rule
+        (leftover-carry parity).  The column-list shape keeps the driver's
         emit loop a plain ``list.extend`` (no per-row tuple transpose) and
         pickles as 4 primitive lists instead of O(rows) tuple objects.
         Urls failing checkURL are dropped from the queue exactly as the
@@ -302,14 +310,13 @@ class FrontierShard:
         """A run of consecutive same-shard ``schedule_pop``s in one RPC,
         chaining the leftover-carry exactly as the driver loop would
         (reqs: ``(urllib_key, ct_base, lifo, interval)``).  The incoming
-        leftover comes from the PREVIOUS run's result — a plain value
+        leftover ``prev`` is the PREVIOUS run's ``left`` — a plain int
         locally, a Ray-resolved ObjectRef when the driver submits the
         whole pop chain without joining between runs (the leftover
         scalar travels shard-to-shard as task-argument dataflow) — plus
         ``delta`` quota accumulated driver-side for provably-empty rules
         skipped in between."""
-        left = (prev[1] if isinstance(prev, (tuple, list))
-                else int(prev)) + delta
+        left = int(prev) + delta
         out = []
         for urllib_key, ct_base, lifo, interval in reqs:
             accepted, left = self.schedule_pop(
@@ -379,16 +386,14 @@ class FrontierShard:
                                    wave: int,
                                    do_ckpt: bool = True) -> dict:
         """Wave barrier with the north_rule's per-partition checkpoint
-        written BY THE SHARD (atomic rename) — snapshot bytes never ship
-        through the driver.  The snapshot is taken synchronously (state
-        is quiescent at the barrier) but the FILE IO runs on a shard-local
-        thread so variable disk latency never blocks the next wave's RPCs;
-        the driver writes the manifest for wave k only after the k+1
-        barrier (or ``finish_checkpoints``) has joined the writer, so a
-        manifest never references an unwritten file.  Single-node paths
+        written BY THE SHARD — snapshot bytes never ship through the
+        driver.  The snapshot (state is quiescent at the barrier) goes to
+        a temp file that is renamed into place before this call returns,
+        so a returned commit means the file is on disk: the driver
+        writes the manifest for wave k once it has every shard's result,
+        and a manifest never names an unwritten file.  Single-node paths
         here; on a cluster the same call targets shared storage."""
         import os
-        import threading
 
         counts = self.commit_wave(now)
         if not do_ckpt:
@@ -396,29 +401,13 @@ class FrontierShard:
             # commits; resume replays the uncheckpointed waves
             # deterministically from the last snapshot
             return counts
-        blob = self.snapshot()
-        self.finish_checkpoints()  # prior wave durable before this writes
-
-        def _write() -> None:
-            d = os.path.join(ckpt_dir, f"shard={self.shard_id}")
-            os.makedirs(d, exist_ok=True)
-            tmp = os.path.join(d, f".wave_{wave}.pkl.tmp")
-            with open(tmp, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, os.path.join(d, f"wave_{wave}.pkl"))
-
-        t = threading.Thread(target=_write, daemon=True)
-        t.start()
-        self._ckpt_thread = t
+        d = os.path.join(ckpt_dir, f"shard={self.shard_id}")
+        os.makedirs(d, exist_ok=True)
+        tmp = os.path.join(d, f".wave_{wave}.pkl.tmp")
+        with open(tmp, "wb") as f:
+            f.write(self.snapshot())
+        os.replace(tmp, os.path.join(d, f"wave_{wave}.pkl"))
         return counts
-
-    def finish_checkpoints(self) -> bool:
-        """Join the in-flight checkpoint write (durability barrier)."""
-        t = getattr(self, "_ckpt_thread", None)
-        if t is not None:
-            t.join()
-            self._ckpt_thread = None
-        return True
 
     # ------------------------------------------------------------------
     # save_links single-link admission — spider/pipeline.js:119-193

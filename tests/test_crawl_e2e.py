@@ -235,11 +235,13 @@ def test_resume_refuses_mismatched_state_format(corpus, fmt_ckpt, fmt):
     """A checkpoint written under any older shard snapshot layout (v2
     still pickled the cuckoo filter table; a manifest without the field
     predates versioning) is refused, not unpickled into this build's
-    shards."""
+    shards — and the offline replay tools refuse it too, instead of
+    rewriting it into a checkpoint resume cannot read."""
     import json
     import os
 
     from neocrawler_ray.pipelines.crawl import CrawlJob
+    from neocrawler_ray.pipelines.replay import replay_failures
 
     out, manifest = fmt_ckpt
     assert manifest["state_format"] == STATE_FORMAT_VERSION
@@ -252,6 +254,35 @@ def test_resume_refuses_mismatched_state_format(corpus, fmt_ckpt, fmt):
         json.dump(manifest, f)
     with pytest.raises(ValueError, match="state_format"):
         CrawlJob(corpus, _settings(), out, resume=True)
+    with pytest.raises(ValueError, match="state_format"):
+        replay_failures(os.path.join(out, "ckpt"))
+
+
+def test_manifest_names_each_wave_without_lag(corpus, tmp_path_factory,
+                                              ray_session):
+    """A harvested commit means every shard renamed its checkpoint file
+    into place, so right after each wave the manifest names that wave
+    and every shard's file for it exists."""
+    import json
+    import os
+
+    from neocrawler_ray.pipelines.crawl import CrawlJob
+
+    settings = _settings()
+    out = str(tmp_path_factory.mktemp("nolag_out"))
+    ckpt = os.path.join(out, "ckpt")
+    checked = []
+
+    def check(wave):
+        with open(os.path.join(ckpt, "manifest.json")) as f:
+            assert json.load(f)["last_complete_wave"] == wave
+        for i in range(settings.num_frontier_shards):
+            assert os.path.exists(
+                os.path.join(ckpt, f"shard={i}", f"wave_{wave}.pkl"))
+        checked.append(wave)
+
+    CrawlJob(corpus, settings, out).run(max_waves=3, on_wave_end=check)
+    assert checked == [0, 1, 2]
 
 
 # ------------------------- T6: transient retry ----------------------------

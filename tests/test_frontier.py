@@ -187,10 +187,12 @@ def test_run_schedule_wave_quota_and_seeds():
     # wave 0: list rule reseeds (3 range-expanded seeds, bypass quota),
     # list queue empty → ct_list=ceil(10/160*110)=7 unmet → left=7;
     # detail ct = ceil(10/160*50)+7 = 11 → pops all 8 queued
-    urls = [s["url"] for s in sched]
+    urls = sched["url"]
     assert urls[:3] == [f"http://www.site0.example/list_{i}.html" for i in (1, 2, 3)]
-    assert len(sched) == 3 + 8
-    assert [s["seq"] for s in sched] == list(range(11))
+    assert len(urls) == 3 + 8
+    assert sched["wave"] == 0
+    assert all(len(sched[c]) == 11 for c in
+               ("urllib", "version", "referer", "drill_relation", "retry"))
     # determinism: fresh run gives identical schedule
     shard2 = FrontierShard(0, RULES, CrawlSettings(
         schedule_quantity_limitation=10, num_frontier_shards=1,
@@ -249,7 +251,7 @@ def test_speculative_schedule_no_carry_case():
                                  settings, speculative=spec)
 
     a, b = run(True), run(False)
-    assert a == b and len(a) > 0
+    assert a == b and len(a["url"]) > 0
 
 
 # --------------------------- snapshot/restore -----------------------------

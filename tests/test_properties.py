@@ -174,25 +174,33 @@ def test_popcount64_matches_bin_count(vals):
 
 # --- speculative vs chained scheduling equivalence ---------------------
 #
-# The speculative pop plan (pipelines/scheduler.py) must be
-# byte-identical to the leftover-chained plan whenever politeness is
-# idle.  Randomize everything the carry algebra depends on: rule count,
-# weights/priorities (serve order and quotas), per-rule queue depths
-# (forcing every carry shape: empty rules, quota-limited rules, deep
-# absorbers), wave quota, FIFO/LIFO, and the shard count (multi-shard
-# exercises per-shard actor-order interleaving in the sync default).
+# ``run_schedule_wave(..., speculative=True)`` must be byte-identical to
+# the leftover-chained plan (``speculative=False``) for every input: the
+# scheduler takes the speculative route only where it is exact, and
+# falls back to the chained plan everywhere else.  Randomize everything
+# the carry algebra depends on: rule count, 1-2 rules per domain (rules
+# sharing a host share its politeness budget), weights/priorities
+# (serve order and quotas), per-rule queue depths (forcing every carry
+# shape: empty rules, quota-limited rules, deep absorbers), wave quota,
+# FIFO/LIFO, the shard count (multi-shard exercises per-shard
+# interleaving) and the politeness budget — off, binding, or at the
+# quota + #rules bound where it can no longer bind.
+
+_ALIASES = (("list", "item"), ("page", "page"))
+
 
 @st.composite
 def _sched_config(draw):
-    n_rules = draw(st.integers(2, 5))
+    n_domains = draw(st.integers(1, 5))
     rules: dict = {}
-    depths = []
-    for i in range(n_rules):
+    depths = {}
+    for i in range(n_domains):
         dom = f"site{i}.example"
-        rules[dom] = {
-            "list": {
-                "domain": dom, "alias": "list",
-                "url_pattern": rf"^http://www\.site{i}\.example/item_\d+",
+        rules[dom] = {}
+        for alias, stem in _ALIASES[:draw(st.integers(1, 2))]:
+            rules[dom][alias] = {
+                "domain": dom, "alias": alias,
+                "url_pattern": rf"^http://www\.site{i}\.example/{stem}_\d+",
                 "type": "node", "id_parameter": ["id"],
                 "schedule_interval": 3600,
                 "schedule_rule": draw(st.sampled_from(["FIFO", "LIFO"])),
@@ -200,36 +208,37 @@ def _sched_config(draw):
                 "weight": draw(st.integers(0, 20)),
                 "seed": [], "active": True,
             }
-        }
-        depths.append(draw(st.integers(0, 12)))
+            depths[(dom, alias, stem)] = draw(st.integers(0, 12))
     quota = draw(st.integers(1, 30))
     shards = draw(st.integers(1, 3))
-    return rules, depths, quota, shards
+    n_rules = len(depths)
+    budget = draw(st.sampled_from([0, 1, 2, 3, 5, quota + n_rules]))
+    return rules, depths, quota, shards, budget
 
 
 @given(_sched_config())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_speculative_schedule_equivalence_property(cfg):
     from neocrawler_ray.config import CrawlSettings, RuleSet
-    from neocrawler_ray.pipelines.scheduler import run_schedule_wave
+    from neocrawler_ray.pipelines.scheduler import (run_schedule_wave,
+                                                    shard_for_domain)
     from neocrawler_ray.state.frontier import FrontierShard
 
-    rules, depths, quota, n_shards = cfg
+    rules, depths, quota, n_shards, budget = cfg
 
     def run(speculative: bool):
         settings = CrawlSettings(
             schedule_quantity_limitation=quota,
             num_frontier_shards=n_shards,
-            politeness_per_host_per_wave=0,
+            politeness_per_host_per_wave=budget,
         )
         shards = [FrontierShard(i, rules, settings) for i in range(n_shards)]
-        from neocrawler_ray.pipelines.scheduler import shard_for_domain
-        for di, (dom, depth) in enumerate(zip(sorted(rules), depths)):
+        for (dom, alias, stem), depth in depths.items():
             sid = shard_for_domain(dom, n_shards)
-            key = f"urllib:driller:{dom}:list"
+            key = f"urllib:driller:{dom}:{alias}"
             for j in range(depth):
                 shards[sid]._save_link(
-                    key, f"http://www.{dom}/item_{j}?id={j}",
+                    key, f"http://www.{dom}/{stem}_{j}?id={j}",
                     "http://ref", "*", 1, now=0)
         rs = RuleSet(rules)
         entries = rs.priority_list()
