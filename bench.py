@@ -59,9 +59,8 @@ def bench_settings(num_cpus: int):
     return CrawlSettings(
         schedule_quantity_limitation=20000,
         # non-binding at bench scale (politeness_deferred stays 0 at
-        # 10k); set above quota+rules so the provably-exact speculative
-        # schedule engages (crawl.py gate) — behavior-identical, the
-        # budget only matters when it defers and it never does here
+        # 10k) — behavior-identical, the budget only matters when it
+        # defers and it never does here
         politeness_per_host_per_wave=int(
             os.environ.get("NC_BENCH_POLITENESS", "50000")),
         # shard count follows frontier size, not CPU count: shards are

@@ -62,6 +62,14 @@ class CrawlSettings:
     # --- paths ----------------------------------------------------------
     checkpoint_dir: str | None = None
 
+    def __post_init__(self):
+        # frontier shards reset their per-wave politeness budgets when
+        # the wave clock changes, so the clock must advance every wave
+        if self.schedule_interval <= 0:
+            raise ValueError(
+                f"schedule_interval={self.schedule_interval}: the logical "
+                "wave clock must advance, so it must be > 0")
+
     def wave_version(self, wave: int) -> int:
         """Deterministic logical timestamp for a wave (replaces the
         reference's wall-clock ``schedule_version``, scheduler/index.js:126)."""

@@ -13,9 +13,9 @@ Each wave is one fan-out over the scheduled table::
       → plugin sink (if any): the driver hands each written part to
         ``sink_batch`` in part order
       → commit_wave (deterministic order) → checkpoint, written by
-        each shard inside the same commit call; the commit barrier is
-        submit-only and overlaps the NEXT wave's schedule via per-shard
-        actor ordering (harvested after the schedule RPCs are queued)
+        each shard inside the same commit call, which also reports the
+        rules with queued urls or retries; the next wave's schedule is
+        planned from that report, so it calls only shards with work
 
 The bulk analytics/corpus pipelines remain Ray Data end to end; only
 this iterative ~170-sub-second-task wave loop uses raw tasks, with or
@@ -217,6 +217,9 @@ class CrawlJob:
         if plugin is not None:
             plugin.assembly({"corpus_dir": corpus_dir, "out_dir": out_dir})
 
+        # each shard's queued_keys() as its last commit or restore
+        # reported it: a fresh frontier has no queued url or retry
+        self._queued = [(frozenset(), frozenset())] * S
         self.start_wave = 0
         if resume:
             self.start_wave = self._restore_checkpoint()
@@ -356,7 +359,7 @@ class CrawlJob:
             p = os.path.join(self.ckpt_dir, f"shard={i}", f"wave_{wave}.pkl")
             with open(p, "rb") as f:
                 futures.append(shard.restore.remote(f.read()))
-        ray.get(futures)
+        self._queued = ray.get(futures)
         for e in self.entries:
             e["first_schedule"] = manifest["first_schedule"].get(e["key"], 0)
         return wave + 1
@@ -379,9 +382,11 @@ class CrawlJob:
         wave = self.start_wave
 
         # in-flight commit of the previous wave: {"wave", "futures",
-        # "spill", "clocks"} — harvested after the NEXT wave's schedule
-        # RPCs are queued (they happen-after each shard's commit via
-        # actor ordering), so the commit barrier overlaps the schedule
+        # "spill", "clocks"} — harvested before the next wave's
+        # schedule, which plans from the queued keys the commits report.
+        # Nothing is lost by not overlapping the two: every pop the
+        # schedule sends a shard would queue behind that shard's commit
+        # anyway (actor ordering).
         pending: dict | None = None
 
         def _harvest() -> None:
@@ -389,7 +394,8 @@ class CrawlJob:
             if pending is None:
                 return
             results = ray.get(pending["futures"])
-            for c in results:
+            self._queued = [q for _c, q in results]
+            for c, _q in results:
                 for k, v in c.items():
                     totals[k] = totals.get(k, 0) + v
             if pending["spill"]:
@@ -405,12 +411,10 @@ class CrawlJob:
 
         while wave < max_waves:
             self._maybe_reload_rules()
-            # the scheduler falls back to the chained plan wherever
-            # speculation would not be exact
+            _harvest()
             scheduled = run_schedule_wave(
                 wave, self.entries, self.total_rates, self.shards, s,
-                speculative=True)
-            _harvest()
+                self._queued)
             if not scheduled["url"]:
                 break
             version = s.wave_version(wave)
@@ -516,20 +520,15 @@ class CrawlJob:
             # ---- deterministic frontier commit + checkpoint -------------
             # each shard writes its own checkpoint file (atomic rename)
             # inside the commit call — the per-partition snapshot bytes
-            # never ship through the driver.
-            # SUBMIT-ONLY here: the futures are harvested after the next
-            # wave's schedule RPCs are queued (which happen-after each
-            # shard's commit by actor ordering) — the commit barrier
-            # overlaps the next schedule instead of serializing the wave
-            # loop.  Correctness is unchanged: every pop/drain/seed RPC
-            # the next schedule issues runs after its shard's commit.
+            # never ship through the driver.  Submit-only here: the
+            # futures are harvested at the top of the next wave (or by
+            # on_wave_end / the end of the run).
             do_ckpt = (wave + 1) % s.checkpoint_every == 0
             pending = {
                 "wave": wave,
-                # clocks as of the end of THIS wave: by harvest time the
-                # next wave's schedule has already advanced the live
-                # entries, and a manifest carrying those would make a
-                # resumed run skip reSchedules its replay must perform
+                # clocks as of the end of THIS wave: a manifest carrying
+                # a later schedule's clocks would make a resumed run skip
+                # reSchedules its replay must perform
                 "clocks": ({e["key"]: e["first_schedule"]
                             for e in self.entries} if do_ckpt else None),
                 "futures": [

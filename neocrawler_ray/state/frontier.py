@@ -74,13 +74,11 @@ class FrontierShard:
         # commit_wave — makes parallel extract order-equivalent to the
         # reference's sequential pipeline.save (SURVEY.md §7.2)
         self._buffer: list[tuple] = []
-        # per-wave per-host politeness counters (reset by begin_wave)
+        # per-host politeness counters of the wave clock ``_host_now``:
+        # the first pop of a new wave (a new ``now``) resets them
         self._host_counts: dict[str, int] = {}
+        self._host_now: int | None = None
         self.metrics: dict[str, int] = {}
-
-    def begin_wave(self) -> None:
-        """Reset wave-local politeness budgets (called at each wave start)."""
-        self._host_counts = {}
 
     def update_rules(self, rules: dict) -> bool:
         """T5 hot-reload: swap the rule snapshot (wave-boundary only —
@@ -249,6 +247,8 @@ class FrontierShard:
         a_rel: list = []
         count = 0
         budget = self.settings.politeness_per_host_per_wave
+        if now != self._host_now:
+            self._host_counts, self._host_now = {}, now
         host_budget = self._host_counts
         while q and count < ct:
             head = q[-1] if lifo else q[0]
@@ -276,47 +276,15 @@ class FrontierShard:
         left = ct - count if count < ct else 0
         return (a_url, a_ver, a_ref, a_rel), left
 
-    def schedule_wave_spec(self, drain_keys: list[str],
-                           pop_reqs: list[tuple], now: int):
-        """One RPC per shard per SPECULATIVE wave: the retry drains
-        followed by every one of this shard's rule pops (zero assumed
-        carry), in exactly the order the per-call plan used to submit
-        them (drains first, pops in serve order — per-shard actor
-        ordering made that sequence; here it's a plain loop).  Collapses
-        the ~(1 drain + k pops) actor tasks per shard per wave into one
-        — the per-task submit/return overhead across ~53 tasks/wave was
-        a measured slice of the schedule join.  Returns
-        ``((drain_results, accepted_list), lefts)``: the few-byte
-        per-rule lefts ride the second ``num_returns=2`` object so the
-        driver plans repairs before pulling the payload."""
-        drains = self.drain_retries_many(drain_keys, now)
-        accepted_list: list = []
-        lefts: list[int] = []
-        qlens: list[int] = []
-        for urllib_key, ct, lifo, interval in pop_reqs:
-            accepted, left = self.schedule_pop(
-                urllib_key, ct, lifo, interval, now)
-            accepted_list.append(accepted)
-            lefts.append(left)
-            # post-pop queue length: lets the driver prove which repair
-            # continuations are pure carry pass-throughs (empty queue ⇒
-            # pop is a state-free no-op) and skip their RPC hop entirely
-            q = self.queues.get(urllib_key)
-            qlens.append(len(q) if q else 0)
-        return (drains, accepted_list), (lefts, qlens)
-
-    def schedule_pop_run_chained(self, reqs: list[tuple], prev, delta: int,
-                                 now: int):
+    def schedule_pop_run_chained(self, reqs: list[tuple], prev, now: int):
         """A run of consecutive same-shard ``schedule_pop``s in one RPC,
         chaining the leftover-carry exactly as the driver loop would
         (reqs: ``(urllib_key, ct_base, lifo, interval)``).  The incoming
         leftover ``prev`` is the PREVIOUS run's ``left`` — a plain int
         locally, a Ray-resolved ObjectRef when the driver submits the
         whole pop chain without joining between runs (the leftover
-        scalar travels shard-to-shard as task-argument dataflow) — plus
-        ``delta`` quota accumulated driver-side for provably-empty rules
-        skipped in between."""
-        left = int(prev) + delta
+        scalar travels shard-to-shard as task-argument dataflow)."""
+        left = int(prev)
         out = []
         for urllib_key, ct_base, lifo, interval in reqs:
             accepted, left = self.schedule_pop(
@@ -330,6 +298,14 @@ class FrontierShard:
 
     def total_queued(self) -> int:
         return sum(len(q) for q in self.queues.values())
+
+    def queued_keys(self) -> tuple[frozenset, frozenset]:
+        """``(keys with queued urls, keys with queued retries)``: the
+        rules a scheduler round must pop or drain on this shard.  A pop
+        or drain of any other key finds an empty queue and changes no
+        state."""
+        return (frozenset(k for k, q in self.queues.items() if q),
+                frozenset(k for k, q in self.retry_queues.items() if q))
 
     # ------------------------------------------------------------------
     # wave result buffering + deterministic commit
@@ -384,7 +360,7 @@ class FrontierShard:
 
     def commit_wave_and_checkpoint(self, now: int, ckpt_dir: str,
                                    wave: int,
-                                   do_ckpt: bool = True) -> dict:
+                                   do_ckpt: bool = True) -> tuple:
         """Wave barrier with the north_rule's per-partition checkpoint
         written BY THE SHARD — snapshot bytes never ship through the
         driver.  The snapshot (state is quiescent at the barrier) goes to
@@ -392,22 +368,23 @@ class FrontierShard:
         so a returned commit means the file is on disk: the driver
         writes the manifest for wave k once it has every shard's result,
         and a manifest never names an unwritten file.  Single-node paths
-        here; on a cluster the same call targets shared storage."""
+        here; on a cluster the same call targets shared storage.
+        Returns ``(counts, queued_keys())`` — the next scheduler round
+        plans from the second."""
         import os
 
         counts = self.commit_wave(now)
-        if not do_ckpt:
-            # checkpoint-cadence skip (deployment knob): state still
-            # commits; resume replays the uncheckpointed waves
-            # deterministically from the last snapshot
-            return counts
-        d = os.path.join(ckpt_dir, f"shard={self.shard_id}")
-        os.makedirs(d, exist_ok=True)
-        tmp = os.path.join(d, f".wave_{wave}.pkl.tmp")
-        with open(tmp, "wb") as f:
-            f.write(self.snapshot())
-        os.replace(tmp, os.path.join(d, f"wave_{wave}.pkl"))
-        return counts
+        # do_ckpt=False is the checkpoint-cadence skip (deployment
+        # knob): state still commits; resume replays the uncheckpointed
+        # waves deterministically from the last snapshot
+        if do_ckpt:
+            d = os.path.join(ckpt_dir, f"shard={self.shard_id}")
+            os.makedirs(d, exist_ok=True)
+            tmp = os.path.join(d, f".wave_{wave}.pkl.tmp")
+            with open(tmp, "wb") as f:
+                f.write(self.snapshot())
+            os.replace(tmp, os.path.join(d, f"wave_{wave}.pkl"))
+        return counts, self.queued_keys()
 
     # ------------------------------------------------------------------
     # save_links single-link admission — spider/pipeline.js:119-193
@@ -457,21 +434,6 @@ class FrontierShard:
             self.url_info[kk] = info
             validate = True
         if validate:
-            # speculative-scheduler exactness guard (scheduler.py
-            # run_schedule_wave docstring): every url must be reachable
-            # from exactly ONE rule's queue.  Link routing is first-match
-            # per URL so this holds by construction — EXCEPT after a T5
-            # rules hot-reload reroutes an existing url to a different
-            # rule, which is legitimate (and tolerated by the reference's
-            # scheduler), so a mismatch is counted, not asserted: the
-            # re-queued url sits in only the NEW rule's queue (its old
-            # entry was consumed, and schedule/crawling lock states block
-            # re-queue while one is pending), so spec-pop disjointness
-            # still holds; the counter makes any other source of
-            # multi-rule traffic visible in stats() instead of killing
-            # the actor mid-commit.
-            if info.get("trace") != urllib_key:
-                self._bump("trace_reroutes", 1)
             self.queues.setdefault(urllib_key, deque()).append(final_link)
         return validate
 
@@ -586,7 +548,9 @@ class FrontierShard:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
 
-    def restore(self, blob: bytes) -> None:
+    def restore(self, blob: bytes) -> tuple[frozenset, frozenset]:
+        """Load a ``snapshot()``; returns ``queued_keys()`` of the
+        restored state, as a commit does."""
         d = pickle.loads(blob)
         self.shard_id = d["shard_id"]
         self.url_info = d["url_info"]
@@ -596,3 +560,4 @@ class FrontierShard:
             for k, v in d["retry_queues"].items()}
         self.metrics = d["metrics"]
         self._buffer = []
+        return self.queued_keys()

@@ -471,23 +471,21 @@ def test_rules_reload_survives_partial_write(corpus, tmp_path_factory,
     assert injected[0][0] == 2  # wave after the VALID write
 
 
-def test_speculative_schedule_e2e_parity(corpus, tmp_path_factory,
-                                         ray_session):
-    """Distributed engine with the speculative (parallel-pop) schedule
-    engaged ≡ sequential oracle (which always runs the chained plan):
-    schedule order, wave count and URL-seen set.  The politeness budget
-    is raised above quota+rules so crawl.py's exactness gate enables
-    speculation (the default-budget fixtures above keep exercising the
-    chained plan)."""
+def test_nonbinding_budget_e2e_parity(corpus, tmp_path_factory,
+                                      ray_session):
+    """Distributed engine ≡ sequential oracle (which pops every rule)
+    with a politeness budget that never defers a pop: schedule order,
+    wave count and URL-seen set.  The default-budget fixtures above
+    cover the binding case."""
     from neocrawler_ray.pipelines.crawl import CrawlJob
     from neocrawler_ray.pipelines.oracle import run_oracle
 
-    spec_settings = _settings(politeness_per_host_per_wave=10**6)
-    out = str(tmp_path_factory.mktemp("spec_out"))
-    job = CrawlJob(corpus, spec_settings, out)
+    open_settings = _settings(politeness_per_host_per_wave=10**6)
+    out = str(tmp_path_factory.mktemp("open_budget_out"))
+    job = CrawlJob(corpus, open_settings, out)
     totals = job.run()
 
-    ora = run_oracle(corpus, spec_settings)
+    ora = run_oracle(corpus, open_settings)
     eng_rows = _schedule_rows(out)
     ora_rows = [(r["wave"], r["seq"], r["url"], r["urllib"])
                 for r in ora["schedule_log"]]

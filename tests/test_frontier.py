@@ -4,6 +4,7 @@ and a snapshot/restore property over random operation sequences."""
 
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,8 +82,8 @@ def test_save_link_crawling_10min_lock_and_failure_readmit():
 def test_save_link_tolerates_hot_reload_reroute():
     """A T5 rules hot-reload can legitimately reroute an existing url to
     a different rule (url_pattern change) while its stored trace still
-    points at the old rule; _save_link must queue it under the NEW key
-    and count the reroute, not crash the actor (round-4 review)."""
+    points at the old rule; _save_link must queue it under the NEW key,
+    not crash the actor (round-4 review)."""
     shard, s = mk_shard()
     _save(shard, now=0)
     info = shard.url_info[url_md5(LINK)]
@@ -93,7 +94,6 @@ def test_save_link_tolerates_hot_reload_reroute():
     other = f"urllib:driller:{DOMAIN}:list"
     assert shard._save_link(other, LINK, "http://ref/", "*", 2, 10**12 + 1)
     assert shard.queue_len(other) == 1
-    assert shard.stats().get("trace_reroutes") == 1
 
 
 def test_save_link_id_parameter_canonicalization():
@@ -152,7 +152,6 @@ def test_schedule_pop_crawled_finish_interval():
 
 def test_schedule_pop_fifo_lifo_and_politeness():
     shard, _ = mk_shard(politeness_per_host_per_wave=2)
-    shard.begin_wave()
     urls = [f"http://www.site0.example/item_{i}?id={i}" for i in range(5)]
     for i, u in enumerate(urls):
         shard._save_link(URLLIB, u, "http://ref", "*", 1, now=i)
@@ -161,10 +160,17 @@ def test_schedule_pop_fifo_lifo_and_politeness():
     assert acc[0] == urls[:2]
     assert left == 8
     assert shard.queue_len(URLLIB) == 3
-    # next wave: budget resets; LIFO pops from the tail
-    shard.begin_wave()
+    # same wave clock: the host's budget stays spent
+    acc, _ = shard.schedule_pop(URLLIB, 10, False, 3600, now=100)
+    assert acc[0] == [] and shard.queue_len(URLLIB) == 3
+    # next wave (a new clock ``now``): budget resets; LIFO pops from
+    # the tail
     acc, _ = shard.schedule_pop(URLLIB, 2, True, 3600, now=200)
     assert acc[0] == [urls[4], urls[3]]
+    # the budget resets on a new clock, so a clock that never advances
+    # is refused
+    with pytest.raises(ValueError, match="schedule_interval"):
+        CrawlSettings(schedule_interval=0)
 
 
 # --------------------------- wave quota loop ------------------------------
@@ -205,7 +211,13 @@ def test_run_schedule_wave_quota_and_seeds():
     assert sched == sched2
 
 
-def _quota_wave(speculative: bool):
+# The two examples below keep the names they had when the fast plan was
+# the speculative (parallel-pop) one; the fast plan is now the pruned
+# one (pops only rules whose shard reports queued urls), held to the
+# same contract: it equals the leftover-chained plan that pops every
+# rule (``queued=None``).
+
+def _quota_wave(pruned: bool):
     settings = CrawlSettings(
         schedule_quantity_limitation=10, num_frontier_shards=1,
         politeness_per_host_per_wave=0,
@@ -214,29 +226,33 @@ def _quota_wave(speculative: bool):
     for i in range(8):
         shard._save_link(URLLIB, f"http://www.site0.example/item_{i}?id={i}",
                          "http://ref", "*", 1, now=0)
+    queued = [shard.queued_keys()] if pruned else None
     ruleset = RuleSet(RULES)
     return run_schedule_wave(0, ruleset.priority_list(), ruleset.total_rates,
-                             [shard], settings, speculative=speculative)
+                             [shard], settings, queued)
 
 
 def test_speculative_schedule_equals_chained():
-    """The parallel-pop speculative plan is byte-identical to the
-    leftover-chained plan, INCLUDING the repair path: the list rule's
-    empty queue leaves carry 7, and the detail rule (quota-limited at
-    ct_base=4) needs a repair pop to absorb it — without the repair it
-    would schedule 4 of its 8 queued urls instead of all 8."""
-    assert _quota_wave(True) == _quota_wave(False)
+    """The pruned plan equals the chained plan on the carry case: the
+    list rule's empty queue is skipped, and its ct_base of 7 must reach
+    the detail rule (quota-limited at ct_base=4) — without that carry
+    it would schedule 4 of its 8 queued urls instead of all 8."""
+    pruned = _quota_wave(True)
+    assert pruned == _quota_wave(False)
+    assert pruned["url"][3:] == [f"http://www.site0.example/item_{i}?id={i}"
+                                 for i in range(8)]
 
 
 def test_speculative_schedule_no_carry_case():
-    """Zero-carry waves need no repairs: deep queues, quota-limited
-    everywhere — speculation alone is exact."""
+    """Zero-carry waves: deep queues, quota-limited everywhere, and only
+    the detail rule queued — the pruned plan skips the list rule and
+    still schedules what the chained plan does."""
     settings = CrawlSettings(
         schedule_quantity_limitation=4, num_frontier_shards=1,
         politeness_per_host_per_wave=0,
     )
 
-    def run(spec):
+    def run(pruned):
         shard = FrontierShard(0, RULES, settings)
         for i in range(50):
             shard._save_link(
@@ -247,11 +263,82 @@ def test_speculative_schedule_no_carry_case():
         entries = rs.priority_list()
         for e in entries:
             e["first_schedule"] = 10**18
+        queued = [shard.queued_keys()] if pruned else None
         return run_schedule_wave(0, entries, rs.total_rates, [shard],
-                                 settings, speculative=spec)
+                                 settings, queued)
 
     a, b = run(True), run(False)
     assert a == b and len(a["url"]) > 0
+
+
+class _CountingShard:
+    """A local shard that records the name of every method called on it."""
+
+    def __init__(self, shard):
+        self._shard = shard
+        self.calls: list[str] = []
+
+    def __getattr__(self, name):
+        def call(*args):
+            self.calls.append(name)
+            return getattr(self._shard, name)(*args)
+        return call
+
+
+def test_schedule_calls_only_shards_with_work():
+    """6 rules over 3 shards, one rule with queued urls, no queued
+    retry: a non-seed wave issues exactly one pop call, no drain and no
+    other shard call — and schedules what the unpruned plan does."""
+    from neocrawler_ray.pipelines.scheduler import shard_for_domain
+
+    site: dict[int, int] = {}  # shard → index of one siteN.example on it
+    i = 0
+    while len(site) < 3:
+        site.setdefault(shard_for_domain(f"site{i}.example", 3), i)
+        i += 1
+    rules = {
+        f"site{i}.example": {alias: {
+            "domain": f"site{i}.example", "alias": alias,
+            "url_pattern": rf"^http://www\.site{i}\.example/{alias}_\d+",
+            "type": "node", "id_parameter": ["id"], "schedule_interval": 3600,
+            "schedule_rule": "FIFO", "priority": 1, "weight": 10,
+            "seed": [], "active": True,
+        } for alias in ("list", "item")}
+        for i in site.values()
+    }
+    # 3 urls of quota per rule: every queued url fits, whatever the
+    # serve order
+    settings = CrawlSettings(schedule_quantity_limitation=18,
+                             num_frontier_shards=3)
+    dom = f"site{site[1]}.example"
+    key = f"urllib:driller:{dom}:item"
+    urls = [f"http://www.{dom}/item_{j}?id={j}" for j in range(3)]
+
+    def shards_and_report():
+        shards = [FrontierShard(i, rules, settings) for i in range(3)]
+        shards[1].buffer_results(
+            [(j, "link", (0, 0, key, u, "http://ref", "*", 1))
+             for j, u in enumerate(urls)])
+        return shards, [sh.commit_wave_and_checkpoint(0, "", 0, False)[1]
+                        for sh in shards]
+
+    def entries():
+        rs = RuleSet(rules)
+        es = rs.priority_list()
+        for e in es:
+            e["first_schedule"] = 10**18  # no seed refresh is due
+        return es, rs.total_rates
+
+    shards, report = shards_and_report()
+    assert report[1] == (frozenset([key]), frozenset())
+    counted = [_CountingShard(sh) for sh in shards]
+    sched = run_schedule_wave(1, *entries(), counted, settings, report)
+    assert [c.calls for c in counted] == [
+        [], ["schedule_pop_run_chained"], []]
+    assert sched["url"] == urls
+
+    plain, _ = shards_and_report()
+    assert run_schedule_wave(1, *entries(), plain, settings) == sched
 
 
 # --------------------------- snapshot/restore -----------------------------
@@ -294,7 +381,6 @@ def _apply(shard, ops) -> int:
             shard._save_link(key, url, "http://ref", "*", version, now)
         elif op[0] == "pop":
             _, _, key, ct, lifo = op
-            shard.begin_wave()
             shard.schedule_pop(key, ct, lifo, 3600, now)
         else:
             shard.buffer_results([(seq, kind, payload) for seq, (kind, payload)
@@ -328,7 +414,6 @@ def test_snapshot_restore_roundtrip(ops, ct, lifo):
     assert _state(clone) == _state(shard)
 
     def next_wave(sh):
-        sh.begin_wave()
         return (sh.drain_retries_many(KEYS, now),
                 [sh.schedule_pop(k, ct, lifo, 3600, now) for k in KEYS])
 

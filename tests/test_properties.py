@@ -172,19 +172,20 @@ def test_popcount64_matches_bin_count(vals):
     assert got.tolist() == [bin(v).count("1") for v in vals]
 
 
-# --- speculative vs chained scheduling equivalence ---------------------
+# --- pruned vs unpruned scheduling equivalence --------------------------
 #
-# ``run_schedule_wave(..., speculative=True)`` must be byte-identical to
-# the leftover-chained plan (``speculative=False``) for every input: the
-# scheduler takes the speculative route only where it is exact, and
-# falls back to the chained plan everywhere else.  Randomize everything
-# the carry algebra depends on: rule count, 1-2 rules per domain (rules
-# sharing a host share its politeness budget), weights/priorities
-# (serve order and quotas), per-rule queue depths (forcing every carry
-# shape: empty rules, quota-limited rules, deep absorbers), wave quota,
-# FIFO/LIFO, the shard count (multi-shard exercises per-shard
-# interleaving) and the politeness budget — off, binding, or at the
-# quota + #rules bound where it can no longer bind.
+# (The property keeps the name it had when the plan it checked against
+# the chained one was the deleted speculative plan.)
+# ``run_schedule_wave`` given the queued keys the shards' commits report
+# must schedule exactly what it schedules given ``None`` (every rule
+# popped and drained), and leave every shard in the same state.
+# Randomize everything the carry algebra depends on: rule count, 1-2
+# rules per domain (rules sharing a host share its politeness budget),
+# weights/priorities (serve order and quotas), per-rule queue depths
+# (forcing every carry shape: empty rules, quota-limited rules, deep
+# absorbers), wave quota, FIFO/LIFO, the shard count (multi-shard
+# exercises per-shard interleaving) and the politeness budget — off,
+# binding, or at the quota + #rules bound where it can no longer bind.
 
 _ALIASES = (("list", "item"), ("page", "page"))
 
@@ -216,36 +217,99 @@ def _sched_config(draw):
     return rules, depths, quota, shards, budget
 
 
-@given(_sched_config())
+@st.composite
+def _two_wave_config(draw):
+    """``_sched_config`` plus, per rule: seeds and the wave their
+    refresh is due (never, 0 or 1), queued retries, and the links and
+    retries a commit between the two waves adds."""
+    rules, depths, quota, shards, budget = draw(_sched_config())
+    extra = {r: (draw(st.integers(0, 3)),                    # seeds
+                 draw(st.sampled_from([None, 0, 1])),        # due wave
+                 draw(st.integers(0, 2)),                    # retries
+                 draw(st.integers(0, 6)),                    # new links
+                 draw(st.integers(0, 2)))                    # new retries
+             for r in depths}
+    return rules, depths, quota, shards, budget, extra
+
+
+@given(_two_wave_config())
 @settings(max_examples=300, deadline=None)
 def test_speculative_schedule_equivalence_property(cfg):
+    import copy
+
     from neocrawler_ray.config import CrawlSettings, RuleSet
     from neocrawler_ray.pipelines.scheduler import (run_schedule_wave,
-                                                    shard_for_domain)
+                                                    shard_for_url)
     from neocrawler_ray.state.frontier import FrontierShard
 
-    rules, depths, quota, n_shards, budget = cfg
+    rules, depths, quota, n_shards, budget, extra = cfg
+    rules = copy.deepcopy(rules)
+    for (dom, alias, stem), (n_seeds, *_rest) in extra.items():
+        rules[dom][alias]["seed"] = [f"http://www.{dom}/{stem}_{j}?id={j}"
+                                     for j in range(n_seeds)]
+    settings_ = CrawlSettings(
+        schedule_quantity_limitation=quota,
+        num_frontier_shards=n_shards,
+        politeness_per_host_per_wave=budget,
+    )
+    # rule schedule_interval is 3600 s; a wave advances the clock 60 s
+    due_at = {None: 10**18, 0: 0,
+              1: settings_.wave_version(1) - 3600 * 1000}
 
-    def run(speculative: bool):
-        settings = CrawlSettings(
-            schedule_quantity_limitation=quota,
-            num_frontier_shards=n_shards,
-            politeness_per_host_per_wave=budget,
-        )
-        shards = [FrontierShard(i, rules, settings) for i in range(n_shards)]
-        for (dom, alias, stem), depth in depths.items():
-            sid = shard_for_domain(dom, n_shards)
+    def rows_for(wave_links: int, wave_retries: int, lo: int) -> list:
+        """(url, kind, payload) rows: links then retries of every rule."""
+        rows = []
+        for (dom, alias, stem), ex in extra.items():
             key = f"urllib:driller:{dom}:{alias}"
-            for j in range(depth):
-                shards[sid]._save_link(
-                    key, f"http://www.{dom}/{stem}_{j}?id={j}",
-                    "http://ref", "*", 1, now=0)
+            n_links = (depths[(dom, alias, stem)] if wave_links is None
+                       else ex[wave_links])
+            for j in range(lo, lo + n_links):
+                u = f"http://www.{dom}/{stem}_{j}?id={j}"
+                rows.append((u, "link", (0, 0, key, u, "http://ref", "*", 1)))
+            for j in range(lo + 50, lo + 50 + ex[wave_retries]):
+                u = f"http://www.{dom}/{stem}_{j}?id={j}"
+                rows.append((u, "retry", (u, key, 1)))
+        return rows
+
+    def run(pruned: bool) -> list:
+        shards = [FrontierShard(i, rules, settings_)
+                  for i in range(n_shards)]
+
+        def commit(now: int, rows: list) -> list:
+            for seq, (u, kind, payload) in enumerate(rows):
+                shards[shard_for_url(u, n_shards)].buffer_results(
+                    [(seq, kind, payload)])
+            return [sh.commit_wave_and_checkpoint(now, "", 0, False)[1]
+                    for sh in shards]
+
         rs = RuleSet(rules)
         entries = rs.priority_list()
         for e in entries:
-            e["first_schedule"] = 10**18  # no reseeds: isolate the pops
-        return run_schedule_wave(0, entries, rs.total_rates, shards,
-                                 settings, speculative=speculative)
+            stem = dict(_ALIASES)[e["alias"]]
+            e["first_schedule"] = due_at[
+                extra[(e["domain"], e["alias"], stem)][1]]
+        report = commit(0, rows_for(None, 2, 0))
+        trace = []
+        for wave in (0, 1):
+            cols = run_schedule_wave(wave, entries, rs.total_rates, shards,
+                                     settings_, report if pruned else None)
+            trace.append(copy.deepcopy((cols, [
+                (sh.url_info, {k: list(v) for k, v in sh.queues.items()},
+                 {k: list(v) for k, v in sh.retry_queues.items()},
+                 sh.metrics) for sh in shards])))
+            if wave:
+                break
+            # the wave's outcome: every 3rd url failed below the retry
+            # limit, the rest finished or failed for good; plus new links
+            # and retries
+            done = [(u, "retry", (u, k, 2)) if i % 3 == 0 else
+                    (u, "state", (u, ("crawled_finish",
+                                      "crawled_failure")[i % 3 - 1]))
+                    for i, (u, k) in enumerate(zip(cols["url"],
+                                                   cols["urllib"]))]
+            report = commit(settings_.wave_version(0),
+                            done + rows_for(3, 4, 100))
+        return trace
 
     assert run(True) == run(False)
 
