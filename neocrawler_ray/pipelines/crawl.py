@@ -8,11 +8,13 @@ Each wave is one fan-out over the scheduled table::
       → raw task per block: fused fetch-sim + extract → its own parquet
         part under wave=k/ (worker-global caches persist per run; see
         _wave_block_write for why this beats a per-wave Ray Data
-        micro-pipeline — the ~0.39 s/wave executor+sink fixed cost)
-      → route feedback columns → one buffer RPC per frontier shard
+        micro-pipeline — the ~0.39 s/wave executor+sink fixed cost),
+        then one keyed buffer RPC per frontier shard the block has
+        feedback rows for
       → plugin sink (if any): the driver hands each written part to
         ``sink_batch`` in part order
-      → commit_wave (deterministic order) → checkpoint, written by
+      → commit_wave (deterministic order), run by Ray once the shard's
+        buffer RPCs (its arguments) landed → checkpoint, written by
         each shard inside the same commit call, which also reports the
         rules with queued urls or retries; the next wave's schedule is
         planned from that report, so it calls only shards with work
@@ -22,15 +24,17 @@ this iterative ~170-sub-second-task wave loop uses raw tasks, with or
 without a plugin (its ``download_batch``/``extract_batch`` hooks run
 inside the block tasks).
 
-Link discovery rides the output table as a ``feedback_json`` column and
-is routed to the frontier shards once per wave, then applied in
-deterministic seq order by ``commit_wave`` — making the parallel run
-order-equivalent to the reference's sequential scheduler+spider (parity
-target: schedule order + URL-seen set, SURVEY.md §2.9).  Design notes
-measured via ``ds.stats()``/phase timers: per-wave actor pools,
-per-block frontier RPC barriers, and per-rule scheduler RPCs each
-dominated wall time at high CPU counts and were restructured away
-(task-mode singletons, feedback column, queue-length schedule skip).
+Link discovery rides the output table as a ``feedback_json`` column;
+each block task sends its rows to the owning frontier shards, keyed
+``(wave, block_lo)`` so a retried block overwrites its first delivery,
+and ``commit_wave`` applies them in deterministic seq order — making the
+parallel run order-equivalent to the reference's sequential
+scheduler+spider (parity target: schedule order + URL-seen set,
+SURVEY.md §2.9).  Design notes measured via ``ds.stats()``/phase
+timers: per-wave actor pools, per-block frontier RPC barriers, and
+per-rule scheduler RPCs each dominated wall time at high CPU counts and
+were restructured away (task-mode singletons, unawaited keyed
+deliveries, queue-length schedule skip).
 
 Checkpoint/resume (north_rule): after every wave each shard snapshots
 (url state + queues + retry queues + metrics) to
@@ -54,8 +58,7 @@ import pyarrow.parquet as pq
 from ..config import CrawlSettings, RuleSet
 from ..functions.urls import url_host
 from ..sources.pages_gen import _host_shard
-from ..stages.extract_stage import (FEEDBACK_COLUMNS, extract_batch_task,
-                                    route_refs_remote)
+from ..stages.extract_stage import extract_batch_task, route_feedback
 from ..stages.fetch import (browser_rules_map, build_robots_map,
                             cookie_rules_map, fetch_sim_batch,
                             load_partition_refs, proxy_rules_map)
@@ -64,7 +67,7 @@ from ..state.frontier import (STATE_FORMAT_VERSION, FrontierShard,
 from .scheduler import run_schedule_wave
 
 
-def _wave_block_write(tbl, lo, hi, part_path, kw):
+def _wave_block_write(tbl, wave, lo, hi, part_path, kw):
     """One scheduled-row range → fetch-sim → extract → its own parquet
     part, written in-task (raw Ray task; registered lazily as a remote
     below); the html bytes never leave the process.  This replaces a
@@ -75,20 +78,29 @@ def _wave_block_write(tbl, lo, hi, part_path, kw):
     ~3.1 s of pure overhead across the 9 sf0.1 bench waves.  Ray Data
     stays the engine for every bulk scan in pipelines/* — an iterative
     frontier loop dispatching ~170 sub-second tasks per wave is the
-    documented "Dataset API can't express it efficiently" exception.  A
-    task retry deterministically rewrites its own part.  ``tbl`` arrives
-    as a top-level ObjectRef arg (auto-deref, zero-copy from plasma);
-    ``kw`` is the run-invariant ``{"fetch": ..., "extract": ...}``
-    kwargs put ONCE per run (nested robots/rules refs stay refs — the
-    kernels ``ray.get`` them into their worker-global caches)."""
+    documented "Dataset API can't express it efficiently" exception.
+    ``tbl`` arrives as a top-level ObjectRef arg (auto-deref, zero-copy
+    from plasma); ``kw`` is the run-invariant ``{"fetch": ...,
+    "extract": ..., "shards": ...}`` kwargs put ONCE per run (nested
+    robots/rules refs stay refs — the kernels ``ray.get`` them into
+    their worker-global caches).
+
+    The block delivers its own feedback: one unawaited
+    ``buffer_results(wave, lo, rows)`` per shard with rows (a blocked
+    ``ray.get`` would free this task's CPU and let Ray start another
+    worker).  A retry re-delivers under the same key, which the shard
+    overwrites.  Returns the T7 breaker tallies and ``{shard id: ack}``."""
     fetched = fetch_sim_batch(tbl.slice(lo, hi - lo), **kw["fetch"])
     out = extract_batch_task(fetched, **kw["extract"])
     pq.write_table(out, part_path)
-    # the narrow feedback projection is the task's RESULT: the crawl
-    # loop hands chunks of these refs to routing tasks as blocks finish,
-    # so feedback routing overlaps the wave's straggler tail and never
-    # re-reads the parquet parts (driver sees refs only, no rows)
-    return out.select(FEEDBACK_COLUMNS)
+    shards = kw["shards"]
+    acks = {sid: shards[sid].buffer_results.remote(wave, lo, rows)
+            for sid, rows in route_feedback(out, len(shards)).items()}
+    # breaker tallies count ATTEMPTS (one per url per wave), so only the
+    # final navigation-round row of each url contributes
+    st = out.filter(out.column("nav_last")).column("final_state").to_pylist()
+    return {"fail": st.count("crawled_failure") + st.count("crawl_retry"),
+            "finish": st.count("crawled_finish")}, acks
 
 
 _wave_block_write_remote = None
@@ -187,8 +199,7 @@ class CrawlJob:
         # "successfully" on silently-corrupted state (missing URLs, and
         # worse, the next commit would checkpoint the EMPTY snapshot past
         # the good one).  Crash-recovery is the checkpoint/resume path's
-        # job (resume=True restores the last durable wave), mirroring
-        # route_feedback's max_retries=0 exactly-once stance.
+        # job (resume=True restores the last durable wave).
         self.shards = [
             RemoteShard.options(max_restarts=0).remote(i, self.rules, settings)
             for i in range(S)
@@ -275,8 +286,8 @@ class CrawlJob:
                 common,
                 rules_ref=self.rules_ref,
                 settings=self.settings,
-                frontier_shards=self.shards,
             ),
+            "shards": self.shards,
         })
 
     def _maybe_reload_rules(self) -> bool:
@@ -486,30 +497,14 @@ class CrawlJob:
                      for k in range(len(bounds))]
             task = _wave_task()
             block_futs = [
-                task.remote(table_ref, lo, hi, part, self._wave_kw_ref)
+                task.remote(table_ref, wave, lo, hi, part, self._wave_kw_ref)
                 for (lo, hi), part in zip(bounds, parts)
             ]
-            # feedback routing OVERLAPS the wave tail: each block task
-            # returns its narrow feedback table; chunks of finished refs
-            # go to routing tasks while stragglers still run.  The wave
-            # barrier is the routing futures — their completion implies
-            # every block wrote its part AND every feedback row was
-            # delivered (the happens-before edge commit_wave needs).
-            # fetch_local=False: the routing tasks pull the feedback
-            # tables where they run; the driver never fetches them.
-            route = route_refs_remote()
-            route_futs = []
-            pending_blocks = block_futs
-            while pending_blocks:
-                done, pending_blocks = ray.wait(
-                    pending_blocks,
-                    num_returns=min(16, len(pending_blocks)),
-                    fetch_local=False)
-                route_futs.append(route.remote(done, self.shards))
-            fb_counts = {"rows": 0, "fail": 0, "finish": 0}
-            for c in ray.get(route_futs):
-                for k in fb_counts:
-                    fb_counts[k] += c[k]
+            # the driver receives tallies and ack refs, never feedback
+            # rows; each shard's acks become its commit's arguments
+            done = ray.get(block_futs)
+            acks = [[a[i] for _c, a in done if i in a]
+                    for i in range(len(self.shards))]
             if self.plugin is not None:
                 # pipeline.js:573-575 sink hook, driver-side per wave, in
                 # part order (deterministic across runs)
@@ -533,8 +528,8 @@ class CrawlJob:
                             for e in self.entries} if do_ckpt else None),
                 "futures": [
                     shard.commit_wave_and_checkpoint.remote(
-                        version, self.ckpt_dir, wave, do_ckpt)
-                    for shard in self.shards
+                        version, self.ckpt_dir, wave, do_ckpt, *acks[i])
+                    for i, shard in enumerate(self.shards)
                 ],
                 "spill": (
                     [sh.spill_cold_state.remote(
@@ -551,8 +546,8 @@ class CrawlJob:
             # durable checkpoint (the reference process.exit(1)s; a
             # restart — here resume=True — starts the counter afresh)
             if s.to_much_fail_exit:
-                self._cum_failure = max(
-                    0, self._cum_failure + fb_counts["fail"] - fb_counts["finish"])
+                self._cum_failure = max(0, self._cum_failure + sum(
+                    c["fail"] - c["finish"] for c, _a in done))
                 threshold = (s.circuit_breaker_factor
                              * s.schedule_quantity_limitation)
                 if self._cum_failure > threshold:

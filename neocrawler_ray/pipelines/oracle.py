@@ -216,7 +216,7 @@ def run_oracle(corpus_dir: str, settings: CrawlSettings,
                         "nav_last": nav_last,
                     }
                 )
-            shard.buffer_results(buf)
+            shard.buffer_results(wave, row["seq"], buf)
         shard.commit_wave(version)
         wave += 1
 

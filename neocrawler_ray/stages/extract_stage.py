@@ -14,13 +14,12 @@ the fetch-sim, and per Arrow batch of fetched pages:
    (extractor.js:180-294) via the pure functions in
    :mod:`neocrawler_ray.functions.extract`;
 4. emits discovered links as a ``feedback_json`` column riding the
-   output table — routing tasks (:func:`_route_refs_task`) send them to
-   their owning frontier shards (``md5(tld) % S``) as seq-tagged buffer
-   rows while the wave's remaining blocks finish.  Pushing from inside
-   the hot task was measured to invert scaling: every block paid a
-   blocking fan-out RPC to all shards, and at 32 CPUs × 16 shards the
-   barrier dominated (SURVEY.md §2.1 S10 feedback loop, re-expressed off
-   the hot path);
+   output table — the block task groups them per owning frontier shard
+   (``md5(tld) % S``) with :func:`route_feedback` and sends each shard
+   with rows one keyed ``buffer_results`` call it does not wait on (a
+   blocking per-block fan-out to all shards was measured to dominate
+   at 32 CPUs × 16 shards); the wave's commit takes the acks as
+   arguments (SURVEY.md §2.1 S10 feedback loop);
 5. returns the extracted rows (no html bytes unless the rule keeps them —
    wide binary stays out of the frontier path, SURVEY.md §7.5).
 
@@ -71,7 +70,7 @@ _WORKER_EXTRACTORS: dict = {}
 
 
 def extract_batch_task(batch: pa.Table, *, run_token: str, rules_ref,
-                       settings, frontier_shards: list, rules_version: int = 0,
+                       settings, rules_version: int = 0,
                        plugin=None) -> pa.Table:
     """Task-mode extract: worker-global singleton per run (see
     ``fetch.fetch_sim_batch`` for why tasks + a module cache beat a
@@ -85,7 +84,7 @@ def extract_batch_task(batch: pa.Table, *, run_token: str, rules_ref,
     inst = _WORKER_EXTRACTORS.get(key)
     if inst is None:
         rules = ray.get(rules_ref) if isinstance(rules_ref, ray.ObjectRef) else rules_ref
-        inst = ExtractBatch(rules, settings, frontier_shards, plugin=plugin)
+        inst = ExtractBatch(rules, settings, [], plugin=plugin)
         _WORKER_EXTRACTORS.clear()  # one run (and rules version) at a time
         _WORKER_EXTRACTORS[key] = inst
     return inst(batch)
@@ -237,58 +236,11 @@ FEEDBACK_COLUMNS = ["seq", "url", "urllib", "domain", "final_state",
                     "nav_last"]
 
 
-def _route_refs_task(tbl_refs: list, shards: list) -> dict:
-    """One CHUNK of finished wave blocks' narrow feedback tables (plasma
-    refs from the raw block tasks) → routed + delivered to the frontier
-    shards.  The crawl loop hands refs over as blocks complete, so
-    routing overlaps the wave's straggler tail and the driver never
-    deserializes the feedback rows.  One ``buffer_results`` RPC per
-    touched shard, JOINED — task completion therefore implies delivery,
-    the driver's happens-before edge to ``commit_wave``.  Returns the
-    row count plus the T7 circuit-breaker tallies."""
-    import pyarrow.compute as pc
-    import ray
-
-    tbl = pa.concat_tables(ray.get(tbl_refs))
-    buffers = route_feedback(tbl, len(shards))
-    if buffers:
-        ray.get([shards[sid].buffer_results.remote(rows)
-                 for sid, rows in buffers.items()])
-    # breaker tallies count ATTEMPTS (one per url per wave), so only the
-    # final navigation-round row of each url contributes
-    st = tbl.filter(tbl.column("nav_last")).column("final_state")
-    n_fail = int(pc.sum(pc.cast(pc.is_in(
-        st, pa.array(["crawled_failure", "crawl_retry"])), pa.int64())).as_py() or 0)
-    n_ok = int(pc.sum(pc.cast(pc.equal(
-        st, "crawled_finish"), pa.int64())).as_py() or 0)
-    return {"rows": tbl.num_rows, "fail": n_fail, "finish": n_ok}
-
-
-_ROUTE_REFS_TASK = None
-
-
-def route_refs_remote():
-    """Lazy ``@ray.remote`` handle for :func:`_route_refs_task`.
-    ``max_retries=0``: the task pushes buffer rows to frontier shards (a
-    side effect) — Ray's default silent re-execution after a worker
-    death would re-deliver rows and double-apply feedback; a failure
-    instead surfaces to the driver, and resuming re-runs the wave from
-    the checkpoint (exactly-once at the wave level)."""
-    global _ROUTE_REFS_TASK
-    import ray
-
-    if _ROUTE_REFS_TASK is None:
-        _ROUTE_REFS_TASK = ray.remote(
-            num_cpus=0.5, max_retries=0)(_route_refs_task)
-    return _ROUTE_REFS_TASK
-
-
 def route_feedback(table: pa.Table, num_shards: int) -> dict[int, list[tuple]]:
     """Wave output table → per-shard seq-tagged buffer rows (links +
     final-state transitions), ready for one ``buffer_results`` RPC per
-    shard.  Driver-callable; in a crawl it runs inside the
-    :func:`_route_refs_task` Ray tasks (one per chunk of finished
-    blocks)."""
+    shard.  In a crawl each block task calls it on its own output; only
+    shards with rows appear."""
     shard_buffers: dict[int, list[tuple]] = {}
     cols = {c: table.column(c).to_pylist() for c in FEEDBACK_COLUMNS}
     # host/domain shard ids are md5-derived — memoize (few distinct hosts

@@ -70,10 +70,10 @@ class FrontierShard:
         # checkURL exactly as the reference's re-emit into the spider's
         # own download queue does
         self.retry_queues: dict[str, deque[tuple[str, int]]] = {}
-        # wave link/result buffer: applied in deterministic (seq) order at
-        # commit_wave — makes parallel extract order-equivalent to the
-        # reference's sequential pipeline.save (SURVEY.md §7.2)
-        self._buffer: list[tuple] = []
+        # wave link/result rows per ``(wave, block_lo)``: applied in (seq)
+        # order at commit_wave — makes parallel extract order-equivalent
+        # to the reference's sequential pipeline.save (SURVEY.md §7.2)
+        self._buffer: dict[tuple[int, int], list[tuple]] = {}
         # per-host politeness counters of the wave clock ``_host_now``:
         # the first pop of a new wave (a new ``now``) resets them
         self._host_counts: dict[str, int] = {}
@@ -310,8 +310,11 @@ class FrontierShard:
     # ------------------------------------------------------------------
     # wave result buffering + deterministic commit
     # ------------------------------------------------------------------
-    def buffer_results(self, rows: list[tuple]) -> int:
-        """Buffer per-page wave results for this shard.
+    def buffer_results(self, wave: int, block_lo: int,
+                       rows: list[tuple]) -> int:
+        """Buffer one block's per-page wave results for this shard, keyed
+        ``(wave, block_lo)``: a re-delivered block (a retried block task)
+        replaces its earlier rows instead of adding a second copy.
 
         Row: ``(seq, kind, payload)`` where kind is:
         - ``'link'``: payload = (gidx, lidx, urllib_key, dst_url, page_url,
@@ -324,19 +327,20 @@ class FrontierShard:
         Applied in (seq, kind-order links-then-state/retry, gidx, lidx)
         order at commit_wave.
         """
-        self._buffer.extend(rows)
-        return len(self._buffer)
+        self._buffer[(wave, block_lo)] = rows
+        return len(rows)
 
     def commit_wave(self, now: int) -> dict:
         """Apply buffered link saves + state transitions in deterministic
         order; clears the buffer.  Returns per-event counts."""
         kind_rank = {"link": 0, "state": 1, "retry": 1}
-        self._buffer.sort(
+        rows = [r for k in sorted(self._buffer) for r in self._buffer[k]]
+        rows.sort(
             key=lambda r: (r[0], kind_rank[r[1]], r[2][:2] if r[1] == "link" else ())
         )
         counts = {"links_saved": 0, "links_rejected": 0, "states": 0,
                   "retries_queued": 0}
-        for _seq, kind, payload in self._buffer:
+        for _seq, kind, payload in rows:
             if kind == "link":
                 (_g, _l, urllib_key, dst, page_url, drill_relation, version) = payload
                 if self._save_link(urllib_key, dst, page_url, drill_relation,
@@ -359,8 +363,8 @@ class FrontierShard:
         return counts
 
     def commit_wave_and_checkpoint(self, now: int, ckpt_dir: str,
-                                   wave: int,
-                                   do_ckpt: bool = True) -> tuple:
+                                   wave: int, do_ckpt: bool = True,
+                                   *_acks) -> tuple:
         """Wave barrier with the north_rule's per-partition checkpoint
         written BY THE SHARD — snapshot bytes never ship through the
         driver.  The snapshot (state is quiescent at the barrier) goes to
@@ -370,9 +374,16 @@ class FrontierShard:
         and a manifest never names an unwritten file.  Single-node paths
         here; on a cluster the same call targets shared storage.
         Returns ``(counts, queued_keys())`` — the next scheduler round
-        plans from the second."""
+        plans from the second.  ``_acks``: this wave's ``buffer_results``
+        refs, passed so Ray runs the commit after every delivery.  Rows
+        buffered under another wave (a late delivery from a dead
+        block-task attempt) raise instead of being applied."""
         import os
 
+        stale = sorted(k for k in self._buffer if k[0] != wave)
+        if stale:
+            raise RuntimeError(f"shard {self.shard_id}: wave {wave} commit "
+                               f"found rows buffered for {stale}")
         counts = self.commit_wave(now)
         # do_ckpt=False is the checkpoint-cadence skip (deployment
         # knob): state still commits; resume replays the uncheckpointed
@@ -559,5 +570,5 @@ class FrontierShard:
             k: deque(tuple(x) for x in v)
             for k, v in d["retry_queues"].items()}
         self.metrics = d["metrics"]
-        self._buffer = []
+        self._buffer = {}
         return self.queued_keys()

@@ -497,23 +497,75 @@ def test_nonbinding_budget_e2e_parity(corpus, tmp_path_factory,
 
 def test_block_wait_leaves_feedback_remote(corpus, tmp_path_factory,
                                            ray_session, monkeypatch):
-    """The driver waits on block tasks without pulling their feedback
-    tables into its own object store: the routing tasks fetch them."""
+    """Feedback rows never reach the driver: block tasks deliver them to
+    the frontier shards themselves, so no value the driver's ``ray.get``
+    receives (block tallies and ack refs, commit counts, ...) holds an
+    Arrow table."""
     import ray
 
     from neocrawler_ray.pipelines.crawl import CrawlJob
 
-    calls = []
-    real_wait = ray.wait
+    got = []
+    real_get = ray.get
 
     def spy(*args, **kw):
-        calls.append(kw.get("fetch_local", True))
-        return real_wait(*args, **kw)
+        got.append(real_get(*args, **kw))
+        return got[-1]
 
-    monkeypatch.setattr(ray, "wait", spy)
+    def tables(v):
+        if isinstance(v, pa.Table):
+            return 1
+        if isinstance(v, dict):
+            v = list(v.values())
+        if isinstance(v, (list, tuple)):
+            return sum(tables(x) for x in v)
+        return 0
+
+    monkeypatch.setattr(ray, "get", spy)
     out = str(tmp_path_factory.mktemp("wait_out"))
     CrawlJob(corpus, _settings(), out).run(max_waves=2)
-    assert calls and not any(calls)
+    assert got and tables(got) == 0
+
+
+def test_retried_block_does_not_double_apply(corpus, tmp_path_factory,
+                                             ray_session):
+    """A block task retried after it delivered its feedback: the real
+    ``_wave_block_write`` run twice on one block against live shard
+    actors commits the same counts and shard stats as one run, because
+    the shards key each delivery by ``(wave, block_lo)``."""
+    import ray
+
+    from neocrawler_ray.pipelines.crawl import (CrawlJob,
+                                                _scheduled_to_table,
+                                                _wave_task)
+    from neocrawler_ray.pipelines.scheduler import run_schedule_wave
+
+    s = _settings(num_frontier_shards=2)
+
+    def run(attempts):
+        out = str(tmp_path_factory.mktemp("retry_out"))
+        job = CrawlJob(corpus, s, out)
+        sched = run_schedule_wave(0, job.entries, job.total_rates,
+                                  job.shards, s, job._queued)
+        tbl = ray.put(_scheduled_to_table(sched))
+        n = len(sched["url"])
+        for _ in range(attempts):
+            # an earlier attempt's deliveries landed; the driver only
+            # sees the acks of the attempt that returned
+            _tally, acks = ray.get(_wave_task().remote(
+                tbl, 0, 0, n, f"{out}/part-00000.parquet", job._wave_kw_ref))
+            ray.get(list(acks.values()))
+        commits = ray.get([
+            sh.commit_wave_and_checkpoint.remote(
+                s.wave_version(0), job.ckpt_dir, 0, False,
+                *([acks[i]] if i in acks else []))
+            for i, sh in enumerate(job.shards)])
+        return ([c for c, _q in commits],
+                ray.get([sh.stats.remote() for sh in job.shards]))
+
+    once = run(1)
+    assert sum(c["links_saved"] for c in once[0]) > 0
+    assert run(2) == once
 
 
 def test_corpus_from_crawl_bridge(engine_out, tmp_path):

@@ -13,6 +13,7 @@ from neocrawler_ray.pipelines.replay import (
     dedup_queues,
     failure_report,
     replay_failures,
+    replay_stuck,
 )
 from neocrawler_ray.sources.pages_gen import generate_corpus
 
@@ -129,6 +130,56 @@ def test_dedup_queues(corpus, tmp_path, ray_session):
     removed = dedup_queues(ckpt)
     assert removed > 0
     assert dedup_queues(ckpt) == 0
+
+
+def test_replay_stuck_requeues_only_old_locks(corpus, tmp_path,
+                                             ray_session):
+    """``psq``: a url locked in ``crawling`` for longer than
+    ``older_than_ms`` returns to its queue as ``hit``; a fresh
+    ``schedule`` lock stays put.  A second call finds nothing, and a
+    resumed run schedules the requeued url."""
+    import glob
+    import pickle
+
+    import pyarrow.parquet as pq
+
+    from neocrawler_ray.pipelines.crawl import CrawlJob
+
+    out = str(tmp_path / "out3")
+    CrawlJob(corpus, _settings(), out).run(max_waves=2)
+    ckpt = os.path.join(out, "ckpt")
+    with open(os.path.join(ckpt, "manifest.json")) as f:
+        wave = json.load(f)["last_complete_wave"]
+    path = max(glob.glob(os.path.join(ckpt, "shard=*", f"wave_{wave}.pkl")),
+               key=os.path.getsize)
+    with open(path, "rb") as f:
+        snap = pickle.loads(f.read())
+    clock = max(int(i.get("last") or 0) for i in snap["url_info"].values())
+    old, fresh = [i for i in snap["url_info"].values()
+                  if i["status"] == "crawled_finish" and i.get("trace")][:2]
+    hour = 3600 * 1000
+    old.update(status="crawling", last=clock - 2 * hour)
+    fresh.update(status="schedule", last=clock)
+    with open(path, "wb") as f:
+        f.write(pickle.dumps(snap))
+
+    assert replay_stuck(ckpt, hour) == 1
+    with open(path, "rb") as f:
+        snap = pickle.loads(f.read())
+    infos = {i["url"]: i for i in snap["url_info"].values()}
+    assert infos[old["url"]]["status"] == "hit"
+    assert old["url"] in snap["queues"][old["trace"]]
+    assert infos[fresh["url"]]["status"] == "schedule"
+    assert fresh["url"] not in snap["queues"].get(fresh["trace"], [])
+    assert replay_stuck(ckpt, hour) == 0
+
+    job = CrawlJob(corpus, _settings(), out, resume=True)
+    job.run()
+    scheduled = set()
+    for p in glob.glob(f"{out}/schedule/wave_*.parquet"):
+        if int(p.split("_")[-1].split(".")[0]) >= job.start_wave:
+            scheduled |= set(pq.read_table(p).column("url").to_pylist())
+    assert old["url"] in scheduled
 
 
 def _read_png_gray(path):

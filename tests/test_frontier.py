@@ -316,9 +316,9 @@ def test_schedule_calls_only_shards_with_work():
 
     def shards_and_report():
         shards = [FrontierShard(i, rules, settings) for i in range(3)]
-        shards[1].buffer_results(
-            [(j, "link", (0, 0, key, u, "http://ref", "*", 1))
-             for j, u in enumerate(urls)])
+        shards[1].buffer_results(0, 0, [
+            (j, "link", (0, 0, key, u, "http://ref", "*", 1))
+            for j, u in enumerate(urls)])
         return shards, [sh.commit_wave_and_checkpoint(0, "", 0, False)[1]
                         for sh in shards]
 
@@ -383,8 +383,8 @@ def _apply(shard, ops) -> int:
             _, _, key, ct, lifo = op
             shard.schedule_pop(key, ct, lifo, 3600, now)
         else:
-            shard.buffer_results([(seq, kind, payload) for seq, (kind, payload)
-                                  in enumerate(op[2])])
+            shard.buffer_results(0, 0, [(seq, kind, payload) for seq,
+                                        (kind, payload) in enumerate(op[2])])
             shard.commit_wave(now)
     return now
 

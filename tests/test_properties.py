@@ -16,6 +16,7 @@ from neocrawler_ray.functions.urls import (
     url_md5,
     url_tld,
 )
+from test_frontier import _ROW, RULES  # shard rows of random kinds
 
 words = st.text(alphabet="abcdefghij ", min_size=0, max_size=200)
 hostnames = st.from_regex(r"[a-z]{1,8}(\.[a-z]{1,8}){1,3}", fullmatch=True)
@@ -278,7 +279,7 @@ def test_speculative_schedule_equivalence_property(cfg):
         def commit(now: int, rows: list) -> list:
             for seq, (u, kind, payload) in enumerate(rows):
                 shards[shard_for_url(u, n_shards)].buffer_results(
-                    [(seq, kind, payload)])
+                    0, seq, [(seq, kind, payload)])
             return [sh.commit_wave_and_checkpoint(now, "", 0, False)[1]
                     for sh in shards]
 
@@ -312,6 +313,48 @@ def test_speculative_schedule_equivalence_property(cfg):
         return trace
 
     assert run(True) == run(False)
+
+
+@given(st.lists(_ROW, max_size=16), st.integers(0, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_keyed_redelivery_equals_one_delivery(rows, wave, data):
+    """A wave's rows split into blocks, each block delivered 1-3 times in
+    shuffled order, commit exactly as one in-order delivery of every
+    block: ``buffer_results`` keys rows by ``(wave, block_lo)``, so a
+    retried block overwrites its first delivery.  Rows buffered under
+    another wave's key make the commit raise before applying anything."""
+    import pytest
+
+    from neocrawler_ray.config import CrawlSettings
+    from neocrawler_ray.state.frontier import FrontierShard
+
+    tagged = [(seq, kind, payload) for seq, (kind, payload)
+              in enumerate(rows)]
+    cuts = data.draw(st.sets(st.integers(1, max(len(tagged) - 1, 1))))
+    bounds = sorted({0, len(tagged)} | {c for c in cuts if c < len(tagged)})
+    blocks = [(lo, tagged[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    deliveries = data.draw(st.permutations(
+        [b for b in blocks for _ in range(data.draw(st.integers(1, 3)))]))
+    now = 61 * 60_000
+
+    def commit(delivered):
+        shard = FrontierShard(0, RULES, CrawlSettings())
+        for lo, blk in delivered:
+            shard.buffer_results(wave, lo, blk)
+        counts, queued = shard.commit_wave_and_checkpoint(now, "", wave,
+                                                          False)
+        return (counts, queued, shard.url_info,
+                {k: list(v) for k, v in shard.queues.items()},
+                {k: list(v) for k, v in shard.retry_queues.items()},
+                shard.metrics)
+
+    assert commit(deliveries) == commit(blocks)
+
+    stale = FrontierShard(0, RULES, CrawlSettings())
+    stale.buffer_results(wave + 1, 0, tagged)
+    with pytest.raises(RuntimeError, match="buffered"):
+        stale.commit_wave_and_checkpoint(now, "", wave, False)
+    assert stale.url_info == {} and stale.metrics == {}
 
 
 @given(st.lists(st.text(alphabet=st.characters(codec="utf-8",
