@@ -162,6 +162,29 @@ def _q_corpus_from_crawl(sf_dir: str):
         workdir=os.path.join(out, "bridge_corpus"))
 
 
+def _crawl_artifact_sig(d: str, sub: str) -> tuple[int, str]:
+    """(rows, md5) of a crawl output dir's ``sub`` artifact
+    (``extracted``/``schedule``/``url_seen``), independent of part
+    files, partitioning and row order."""
+    import hashlib
+
+    import pyarrow.dataset as pads
+
+    # partitioning=None: extracted/ is hive-laid-out by wave= but the
+    # files already carry the wave column inline — don't re-infer it
+    t = pads.dataset(os.path.join(d, sub), format="parquet",
+                     partitioning=None).to_table().to_pandas()
+    # repr-cast before the all-columns sort: binary/list cells sort
+    # deterministically as their repr (astype(str) would choke on
+    # non-utf8 content_bin), making tie order run-invariant
+    t = t[sorted(t.columns)]
+    t = t.apply(lambda col: col.map(repr)
+                if col.dtype == object else col.astype(str))
+    t = t.sort_values(list(t.columns)).reset_index(drop=True)
+    return len(t), hashlib.md5(
+        t.to_csv(index=False).encode()).hexdigest()
+
+
 def _q_crawl_resume_equivalence(sf_dir: str):
     """north_rule "resumes exactly" as a driver-visible artifact: run the
     same crawl (a) uninterrupted (the cached run the other crawl queries
@@ -174,11 +197,9 @@ def _q_crawl_resume_equivalence(sf_dir: str):
     crawl family (the synthetic pages corpus is not a registered view).
     Reference analog: scheduler/spider restart against durable
     redis/ssdb state (scheduler/index.js:124-157)."""
-    import hashlib
     import shutil as _shutil
 
     import pandas as pd
-    import pyarrow.dataset as pads
 
     from neocrawler_ray.config import CrawlSettings
     from neocrawler_ray.pipelines.crawl import CrawlJob
@@ -204,25 +225,10 @@ def _q_crawl_resume_equivalence(sf_dir: str):
         with open(marker, "w") as f:
             json.dump({"interrupted_at_wave": 2}, f)
 
-    def _sig(d: str, sub: str) -> tuple[int, str]:
-        # partitioning=None: extracted/ is hive-laid-out by wave= but the
-        # files already carry the wave column inline — don't re-infer it
-        t = pads.dataset(os.path.join(d, sub), format="parquet",
-                         partitioning=None).to_table().to_pandas()
-        # repr-cast before the all-columns sort: binary/list cells sort
-        # deterministically as their repr (astype(str) would choke on
-        # non-utf8 content_bin), making tie order run-invariant
-        t = t[sorted(t.columns)]
-        t = t.apply(lambda col: col.map(repr)
-                    if col.dtype == object else col.astype(str))
-        t = t.sort_values(list(t.columns)).reset_index(drop=True)
-        return len(t), hashlib.md5(
-            t.to_csv(index=False).encode()).hexdigest()
-
     rows = []
     for sub in ("extracted", "schedule", "url_seen"):
-        n0, h0 = _sig(base, sub)
-        n1, h1 = _sig(out, sub)
+        n0, h0 = _crawl_artifact_sig(base, sub)
+        n1, h1 = _crawl_artifact_sig(out, sub)
         assert (n0, h0) == (n1, h1), (
             f"resumed run diverges from uninterrupted run in {sub}/: "
             f"{(n0, h0)} != {(n1, h1)}")

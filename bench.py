@@ -64,7 +64,8 @@ def bench_settings(num_cpus: int):
         politeness_per_host_per_wave=int(
             os.environ.get("NC_BENCH_POLITENESS", "50000")),
         # shard count follows frontier size, not CPU count: shards are
-        # state partitions; RPC fan-out per wave barrier is O(shards).
+        # state partitions, hosted on min(shards, cpus) actors, and a
+        # host applies and snapshots each of its shards per barrier.
         # Swept 4/8/16 at this corpus (61k urls) across widths — 4 wins
         # everywhere (w48: 60.0 vs 64.0 s at 4 cpus, 21.0 vs 22.5 at 16,
         # 15.5 vs 15.8 at 32; w12 headline: 6.5 vs 7.2 s at 32): fewer,

@@ -1,6 +1,14 @@
 """Crawl job — the wave loop tying scheduler, fetch-sim, extract and the
 frontier actor pool together (the new-engine lifecycle of SURVEY.md §3).
 
+The pool: ``num_frontier_shards`` (S) logical shards — the partition
+count that fixes url ownership, checkpoint files and per-shard
+metrics — run on ``H = min(S, cluster CPUs)`` :class:`FrontierHost`
+actors, shard ``sid`` on host ``sid % H``.  An actor process per shard
+cost a measured ≈1.9 s CPU and ≈122 MB each, and a process beyond the
+CPU count adds no parallelism; a host takes one call per step for all
+its shards.
+
 Each wave is one fan-out over the scheduled table::
 
     scheduled batch (from frontier pops, deterministic order)
@@ -9,15 +17,16 @@ Each wave is one fan-out over the scheduled table::
         part under wave=k/ (worker-global caches persist per run; see
         _wave_block_write for why this beats a per-wave Ray Data
         micro-pipeline — the ~0.39 s/wave executor+sink fixed cost),
-        then one keyed buffer RPC per frontier shard the block has
+        then one keyed buffer RPC per frontier host the block has
         feedback rows for
       → plugin sink (if any): the driver hands each written part to
         ``sink_batch`` in part order
-      → commit_wave (deterministic order), run by Ray once the shard's
-        buffer RPCs (its arguments) landed → checkpoint, written by
-        each shard inside the same commit call, which also reports the
-        rules with queued urls or retries; the next wave's schedule is
-        planned from that report, so it calls only shards with work
+      → commit_wave (deterministic order), one call per host, run by
+        Ray once the host's buffer RPCs (its arguments) landed →
+        checkpoint, one file per logical shard, written by the host
+        inside the same commit call, which also reports the rules with
+        queued urls or retries; the next wave's schedule is planned
+        from that report, so it calls only shards with work
 
 The bulk analytics/corpus pipelines remain Ray Data end to end; only
 this iterative ~170-sub-second-task wave loop uses raw tasks, with or
@@ -25,24 +34,26 @@ without a plugin (its ``download_batch``/``extract_batch`` hooks run
 inside the block tasks).
 
 Link discovery rides the output table as a ``feedback_json`` column;
-each block task sends its rows to the owning frontier shards, keyed
-``(wave, block_lo)`` so a retried block overwrites its first delivery,
-and ``commit_wave`` applies them in deterministic seq order — making the
-parallel run order-equivalent to the reference's sequential
-scheduler+spider (parity target: schedule order + URL-seen set,
-SURVEY.md §2.9).  Design notes measured via ``ds.stats()``/phase
+each block task sends its rows, grouped per logical shard, to the hosts
+that own them, keyed ``(wave, block_lo)`` so a retried block overwrites
+its first delivery, and ``commit_wave`` applies them in deterministic
+seq order — making the parallel run order-equivalent to the
+reference's sequential scheduler+spider (parity target: schedule order
++ URL-seen set, SURVEY.md §2.9).  Design notes measured via ``ds.stats()``/phase
 timers: per-wave actor pools, per-block frontier RPC barriers, and
 per-rule scheduler RPCs each dominated wall time at high CPU counts and
 were restructured away (task-mode singletons, unawaited keyed
 deliveries, queue-length schedule skip).
 
-Checkpoint/resume (north_rule): after every wave each shard snapshots
-(url state + queues + retry queues + metrics) to
-``ckpt/shard={i}/wave_{k}.pkl`` before its commit call returns; when the
-driver harvests wave k's commits it writes an atomic manifest naming
-wave k, with the rule ``first_schedule`` clocks as of the end of wave k.
-``resume=True`` restores the latest complete wave and continues — waves
-already written are skipped (their Parquet output is the resumable unit).
+Checkpoint/resume (north_rule): after every wave each logical shard
+snapshots (url state + queues + retry queues + metrics) to
+``ckpt/shard={i}/wave_{k}.pkl`` before its host's commit call returns;
+when the driver harvests wave k's commits it writes an atomic manifest
+naming wave k, with the rule ``first_schedule`` clocks as of the end of
+wave k.  ``resume=True`` has each host read its own shards' files of the
+latest complete wave — under any host count, since the files are per
+logical shard — and continues; waves already written are skipped (their
+Parquet output is the resumable unit).
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ import json
 import os
 import shutil
 import uuid
+from types import SimpleNamespace
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -62,8 +74,8 @@ from ..stages.extract_stage import extract_batch_task, route_feedback
 from ..stages.fetch import (browser_rules_map, build_robots_map,
                             cookie_rules_map, fetch_sim_batch,
                             load_partition_refs, proxy_rules_map)
-from ..state.frontier import (STATE_FORMAT_VERSION, FrontierShard,
-                              check_state_format)
+from ..state.frontier import (STATE_FORMAT_VERSION, FrontierHost,
+                              check_state_format, host_of)
 from .scheduler import run_schedule_wave
 
 
@@ -81,21 +93,25 @@ def _wave_block_write(tbl, wave, lo, hi, part_path, kw):
     documented "Dataset API can't express it efficiently" exception.
     ``tbl`` arrives as a top-level ObjectRef arg (auto-deref, zero-copy
     from plasma); ``kw`` is the run-invariant ``{"fetch": ...,
-    "extract": ..., "shards": ...}`` kwargs put ONCE per run (nested
-    robots/rules refs stay refs — the kernels ``ray.get`` them into
-    their worker-global caches).
+    "extract": ..., "hosts": ..., "num_shards": ...}`` kwargs put ONCE
+    per run (nested robots/rules refs stay refs — the kernels
+    ``ray.get`` them into their worker-global caches).
 
-    The block delivers its own feedback: one unawaited
-    ``buffer_results(wave, lo, rows)`` per shard with rows (a blocked
-    ``ray.get`` would free this task's CPU and let Ray start another
-    worker).  A retry re-delivers under the same key, which the shard
-    overwrites.  Returns the T7 breaker tallies and ``{shard id: ack}``."""
+    The block delivers its own feedback: rows are grouped by logical
+    shard, then one unawaited ``buffer_results(wave, lo, {sid: rows})``
+    goes to each host with rows (a blocked ``ray.get`` would free this
+    task's CPU and let Ray start another worker).  A retry re-delivers
+    under the same key, which the host's shards overwrite.  Returns the
+    T7 breaker tallies and ``{host index: ack}``."""
     fetched = fetch_sim_batch(tbl.slice(lo, hi - lo), **kw["fetch"])
     out = extract_batch_task(fetched, **kw["extract"])
     pq.write_table(out, part_path)
-    shards = kw["shards"]
-    acks = {sid: shards[sid].buffer_results.remote(wave, lo, rows)
-            for sid, rows in route_feedback(out, len(shards)).items()}
+    hosts = kw["hosts"]
+    by_host: dict[int, dict[int, list]] = {}
+    for sid, rows in route_feedback(out, kw["num_shards"]).items():
+        by_host.setdefault(host_of(sid, len(hosts)), {})[sid] = rows
+    acks = {h: hosts[h].buffer_results.remote(wave, lo, rows)
+            for h, rows in by_host.items()}
     # breaker tallies count ATTEMPTS (one per url per wave), so only the
     # final navigation-round row of each url contributes
     st = out.filter(out.column("nav_last")).column("final_state").to_pylist()
@@ -174,6 +190,24 @@ def _scheduled_to_table(scheduled: dict) -> pa.Table:
     )
 
 
+def _num_hosts(num_shards: int) -> int:
+    """H = min(S, cluster CPUs), read once per job: a host process
+    beyond the CPU count adds no parallelism, only its start-up and
+    memory."""
+    import ray
+
+    return max(1, min(num_shards,
+                      int(ray.cluster_resources().get("CPU", 1))))
+
+
+def _shard_handle(host, sid: int) -> SimpleNamespace:
+    """Logical shard ``sid``'s handle on its host actor, for callers that
+    address shards one by one: ``handle.stats.remote()`` returns that
+    shard's stats ref."""
+    return SimpleNamespace(
+        stats=SimpleNamespace(remote=lambda: host.stats.remote(sid)))
+
+
 class CrawlJob:
     def __init__(self, corpus_dir: str, settings: CrawlSettings,
                  out_dir: str, resume: bool = False, plugin=None):
@@ -193,23 +227,29 @@ class CrawlJob:
         self.total_rates = sum(e["rate"] for e in self.entries)
 
         S = settings.num_frontier_shards
-        RemoteShard = ray.remote(FrontierShard)
-        # max_restarts=0 — FAIL FAST: a restarted shard would re-run
-        # __init__ with empty url_info/queues and the run would continue
-        # "successfully" on silently-corrupted state (missing URLs, and
-        # worse, the next commit would checkpoint the EMPTY snapshot past
-        # the good one).  Crash-recovery is the checkpoint/resume path's
-        # job (resume=True restores the last durable wave).
-        self.shards = [
-            RemoteShard.options(max_restarts=0).remote(i, self.rules, settings)
-            for i in range(S)
-        ]
         # robots scan as a task, not ray.put(build_robots_map(...)): the
         # url-filtered pages scan measured ~1 s driver-serial per run —
-        # as a task it overlaps shard-actor startup and the first
+        # as a task it overlaps host-actor startup and the first
         # schedule wave (fetch kernels deref the result ref exactly as
-        # they deref a put ref)
+        # they deref a put ref).  As the job's first remote call it also
+        # starts Ray when the caller has not, before the CPU count read.
         self.robots_ref = ray.remote(build_robots_map).remote(corpus_dir)
+        H = _num_hosts(S)
+        RemoteHost = ray.remote(FrontierHost)
+        # max_restarts=0 — FAIL FAST: a restarted host would re-run
+        # __init__ with empty shards and the run would continue
+        # "successfully" on silently-corrupted state (missing URLs, and
+        # worse, the next commit would checkpoint EMPTY snapshots past
+        # the good ones).  Crash-recovery is the checkpoint/resume
+        # path's job (resume=True restores the last durable wave).
+        self.hosts = [
+            RemoteHost.options(max_restarts=0).remote(
+                [sid for sid in range(S) if host_of(sid, H) == h],
+                self.rules, settings)
+            for h in range(H)
+        ]
+        self.shards = [_shard_handle(self.hosts[host_of(sid, H)], sid)
+                       for sid in range(S)]
         self.rules_ref = ray.put(self.rules)
         # S6 browser dispatch table (tiny: jshandle rules only) + T8
         # simulated-proxy rule set
@@ -228,9 +268,12 @@ class CrawlJob:
         if plugin is not None:
             plugin.assembly({"corpus_dir": corpus_dir, "out_dir": out_dir})
 
-        # each shard's queued_keys() as its last commit or restore
-        # reported it: a fresh frontier has no queued url or retry
+        # each logical shard's queued_keys() as its last commit or
+        # restore reported it: a fresh frontier has no queued url or retry
         self._queued = [(frozenset(), frozenset())] * S
+        # a resume's restore calls ({sid: queued_keys} refs), resolved
+        # when run() starts — construction stays submit-only
+        self._restoring: list = []
         self.start_wave = 0
         if resume:
             self.start_wave = self._restore_checkpoint()
@@ -287,7 +330,8 @@ class CrawlJob:
                 rules_ref=self.rules_ref,
                 settings=self.settings,
             ),
-            "shards": self.shards,
+            "hosts": self.hosts,
+            "num_shards": len(self.shards),
         })
 
     def _maybe_reload_rules(self) -> bool:
@@ -321,7 +365,7 @@ class CrawlJob:
         self.proxy_map = proxy_rules_map(self.rules)
         self.cookie_map = cookie_rules_map(self.rules)
         self.rules_version += 1
-        ray.get([sh.update_rules.remote(self.rules) for sh in self.shards])
+        ray.get([h.update_rules.remote(self.rules) for h in self.hosts])
         self._rebuild_wave_kw()
         return True
 
@@ -349,8 +393,6 @@ class CrawlJob:
         os.replace(tmp, os.path.join(self.ckpt_dir, "manifest.json"))
 
     def _restore_checkpoint(self) -> int:
-        import ray
-
         path = os.path.join(self.ckpt_dir, "manifest.json")
         if not os.path.exists(path):
             return 0
@@ -365,12 +407,9 @@ class CrawlJob:
                 f"but this run has {len(self.shards)}: resuming would "
                 "drop the extra shards' state and mis-route md5(tld) "
                 "ownership — resume with the original shard count")
-        futures = []
-        for i, shard in enumerate(self.shards):
-            p = os.path.join(self.ckpt_dir, f"shard={i}", f"wave_{wave}.pkl")
-            with open(p, "rb") as f:
-                futures.append(shard.restore.remote(f.read()))
-        self._queued = ray.get(futures)
+        # each host opens its own shards' files, as its commits wrote them
+        self._restoring = [h.restore.remote(self.ckpt_dir, wave)
+                           for h in self.hosts]
         for e in self.entries:
             e["first_schedule"] = manifest["first_schedule"].get(e["key"], 0)
         return wave + 1
@@ -392,11 +431,15 @@ class CrawlJob:
         totals: dict[str, int] = {}
         wave = self.start_wave
 
+        for restored in ray.get(self._restoring):
+            for sid, q in restored.items():
+                self._queued[sid] = q
+        self._restoring = []
         # in-flight commit of the previous wave: {"wave", "futures",
         # "spill", "clocks"} — harvested before the next wave's
         # schedule, which plans from the queued keys the commits report.
         # Nothing is lost by not overlapping the two: every pop the
-        # schedule sends a shard would queue behind that shard's commit
+        # schedule sends a host would queue behind that host's commit
         # anyway (actor ordering).
         pending: dict | None = None
 
@@ -404,19 +447,19 @@ class CrawlJob:
             nonlocal pending
             if pending is None:
                 return
-            results = ray.get(pending["futures"])
-            self._queued = [q for _c, q in results]
-            for c, _q in results:
-                for k, v in c.items():
-                    totals[k] = totals.get(k, 0) + v
+            for by_sid in ray.get(pending["futures"]):
+                for sid, (c, q) in by_sid.items():
+                    self._queued[sid] = q
+                    for k, v in c.items():
+                        totals[k] = totals.get(k, 0) + v
             if pending["spill"]:
                 totals["state_spilled"] = (
                     totals.get("state_spilled", 0)
                     + sum(ray.get(pending["spill"])))
             if pending["clocks"] is not None:
-                # every shard renamed its checkpoint file into place
-                # before its commit call returned, so the manifest can
-                # name this wave now
+                # every host renamed its shards' checkpoint files into
+                # place before its commit call returned, so the manifest
+                # can name this wave now
                 self._write_manifest(pending["wave"], pending["clocks"])
             pending = None
 
@@ -424,7 +467,7 @@ class CrawlJob:
             self._maybe_reload_rules()
             _harvest()
             scheduled = run_schedule_wave(
-                wave, self.entries, self.total_rates, self.shards, s,
+                wave, self.entries, self.total_rates, self.hosts, s,
                 self._queued)
             if not scheduled["url"]:
                 break
@@ -501,10 +544,10 @@ class CrawlJob:
                 for (lo, hi), part in zip(bounds, parts)
             ]
             # the driver receives tallies and ack refs, never feedback
-            # rows; each shard's acks become its commit's arguments
+            # rows; each host's acks become its commit's arguments
             done = ray.get(block_futs)
-            acks = [[a[i] for _c, a in done if i in a]
-                    for i in range(len(self.shards))]
+            acks = [[a[h] for _c, a in done if h in a]
+                    for h in range(len(self.hosts))]
             if self.plugin is not None:
                 # pipeline.js:573-575 sink hook, driver-side per wave, in
                 # part order (deterministic across runs)
@@ -513,9 +556,9 @@ class CrawlJob:
                 self.plugin.alert("crawl_finish_alert", {"wave": wave, "n": n})
 
             # ---- deterministic frontier commit + checkpoint -------------
-            # each shard writes its own checkpoint file (atomic rename)
-            # inside the commit call — the per-partition snapshot bytes
-            # never ship through the driver.  Submit-only here: the
+            # each host writes its shards' checkpoint files (atomic
+            # rename) inside its commit call — the per-partition snapshot
+            # bytes never ship through the driver.  Submit-only here: the
             # futures are harvested at the top of the next wave (or by
             # on_wave_end / the end of the run).
             do_ckpt = (wave + 1) % s.checkpoint_every == 0
@@ -527,15 +570,15 @@ class CrawlJob:
                 "clocks": ({e["key"]: e["first_schedule"]
                             for e in self.entries} if do_ckpt else None),
                 "futures": [
-                    shard.commit_wave_and_checkpoint.remote(
-                        version, self.ckpt_dir, wave, do_ckpt, *acks[i])
-                    for i, shard in enumerate(self.shards)
+                    host.commit_wave_and_checkpoint.remote(
+                        version, self.ckpt_dir, wave, do_ckpt, *acks[h])
+                    for h, host in enumerate(self.hosts)
                 ],
                 "spill": (
-                    [sh.spill_cold_state.remote(
+                    [host.spill_cold_state.remote(
                         version, s.state_spill_keep_ms,
                         os.path.join(self.out_dir, "state_spill"))
-                     for sh in self.shards]
+                     for host in self.hosts]
                     if s.state_spill_keep_ms else []),
             }
             totals["scheduled"] = totals.get("scheduled", 0) + n
@@ -574,14 +617,17 @@ class CrawlJob:
     def _finalize(self, totals: dict) -> None:
         import ray
 
-        # URL-seen set (parity artifact): each shard writes its own
-        # partition — at the 10^10-URL design point the driver never
-        # holds (or sorts) the full set; readers treat ``url_seen/`` as a
-        # parquet dataset (within-shard rows are md5-sorted)
+        # URL-seen set (parity artifact): each host writes one partition
+        # per logical shard — at the 10^10-URL design point the driver
+        # never holds (or sorts) the full set; readers treat
+        # ``url_seen/`` as a parquet dataset (within-shard rows are
+        # md5-sorted)
         seen_dir = os.path.join(self.out_dir, "url_seen")
         shutil.rmtree(seen_dir, ignore_errors=True)
         os.makedirs(seen_dir, exist_ok=True)
-        ray.get([s.write_seen.remote(seen_dir) for s in self.shards])
-        stats = ray.get([s.stats.remote() for s in self.shards])
+        ray.get([h.write_seen.remote(seen_dir) for h in self.hosts])
+        by_sid = {sid: st for got in ray.get(
+            [h.stats.remote() for h in self.hosts]) for sid, st in got.items()}
+        stats = [by_sid[sid] for sid in sorted(by_sid)]
         with open(os.path.join(self.out_dir, "metrics.json"), "w") as f:
             json.dump({"totals": totals, "shards": stats}, f, indent=1, default=str)

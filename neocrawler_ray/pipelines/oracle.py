@@ -3,8 +3,9 @@
 The parity reference for the distributed engine: same pure functions
 (extraction/URL semantics are independently verified against the
 generator's directly-computed text and the reference-mirroring unit
-tests), but **no Ray, no sharding, no parallelism** — one
-:class:`FrontierShard` holding the whole frontier, pages served from an
+tests), but **no Ray, no sharding, no parallelism** — one local
+:class:`FrontierHost` holding a single shard with the whole frontier,
+driven through the engine's own scheduler round, pages served from an
 in-memory dict, every page processed strictly in schedule order.
 
 What the distributed run must reproduce exactly (SURVEY.md §2.9):
@@ -19,6 +20,7 @@ catch.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -30,7 +32,7 @@ from ..stages.fetch import (apply_browser, apply_cookie_gate,
                             navigate_steps, parse_robots,
                             proxy_fetch_failed, rule_cookie_header,
                             rule_script_key)
-from ..state.frontier import FrontierShard
+from ..state.frontier import FrontierHost
 from ..functions.extract import decode_body, extract_page, validate_content
 from ..functions.urls import url_host, url_tld
 from .scheduler import run_schedule_wave
@@ -64,7 +66,8 @@ def run_oracle(corpus_dir: str, settings: CrawlSettings,
     }
 
     # force single shard regardless of the settings used by the engine run
-    shard = FrontierShard(0, rules, settings)
+    settings = dataclasses.replace(settings, num_frontier_shards=1)
+    frontier = FrontierHost([0], rules, settings)
     extractor = ExtractBatch(rules, settings, [], push_to_frontier=False)
 
     schedule_log: list[dict] = []
@@ -73,7 +76,7 @@ def run_oracle(corpus_dir: str, settings: CrawlSettings,
 
     wave = 0
     while wave < max_waves:
-        cols = run_schedule_wave(wave, entries, total_rates, [shard],
+        cols = run_schedule_wave(wave, entries, total_rates, [frontier],
                                  settings)
         if not cols["url"]:
             break
@@ -216,14 +219,14 @@ def run_oracle(corpus_dir: str, settings: CrawlSettings,
                         "nav_last": nav_last,
                     }
                 )
-            shard.buffer_results(wave, row["seq"], buf)
-        shard.commit_wave(version)
+            frontier.buffer_results(wave, row["seq"], {0: buf})
+        frontier.commit_wave_and_checkpoint(version, "", wave, False)
         wave += 1
 
     return {
         "schedule_log": schedule_log,
-        "url_seen": dict(shard.seen_table()),
+        "url_seen": dict(frontier.shards[0].seen_table()),
         "extracted": extracted,
         "waves": wave,
-        "stats": shard.stats(),
+        "stats": frontier.stats(0),
     }

@@ -6,6 +6,7 @@ loop per wave.  The loop itself is O(#rules) and cheap; all heavy work
 (queue pops, admission checks) happens inside the frontier shards, and
 a shard is called only for the rules its last commit reported queued
 urls or retries for — a pop on an empty queue would change nothing.
+Calls go to the hosts that hold the shards, one per host per step.
 Keeping the quota computation sequential on the driver preserves the
 reference's single-scheduler total order of scheduling decisions
 (README.md:130, SURVEY.md §2.9) — the parity target.
@@ -28,6 +29,7 @@ import math
 
 from ..config import CrawlSettings
 from ..functions.urls import expand_seed, url_md5, url_tld
+from ..state.frontier import host_of
 
 __all__ = ["shard_for_domain", "shard_for_url", "run_schedule_wave"]
 
@@ -41,28 +43,28 @@ def shard_for_url(url: str, num_shards: int) -> int:
     return shard_for_domain(tld, num_shards)
 
 
-def _dispatch(shards: list):
-    """``(submit, submit_pair, resolve)`` for the shard type.  Ray actor
+def _dispatch(hosts: list):
+    """``(submit, submit_pair, resolve)`` for the host type.  Ray actor
     handles (their methods have ``.remote``) get ``.remote`` /
     ``.options(num_returns=2).remote`` / ``ray.get``; a local
-    :class:`FrontierShard` gets direct calls, so a token is the result
+    :class:`FrontierHost` gets direct calls, so a token is the result
     itself.  ``submit_pair`` hands back ``(rows, left)`` separately: the
     next chained run's task depends only on the few-byte ``left`` ref,
     never on the previous run's accepted rows."""
-    if hasattr(shards[0].schedule_pop_run_chained, "remote"):
+    if hasattr(hosts[0].schedule_pop_run_chained, "remote"):
         import ray
 
-        def submit(shard, method, *args):
-            return getattr(shard, method).remote(*args)
+        def submit(host, method, *args):
+            return getattr(host, method).remote(*args)
 
-        def submit_pair(shard, method, *args):
-            return tuple(getattr(shard, method)
+        def submit_pair(host, method, *args):
+            return tuple(getattr(host, method)
                          .options(num_returns=2).remote(*args))
 
         return submit, submit_pair, ray.get
 
-    def submit(shard, method, *args):
-        return getattr(shard, method)(*args)
+    def submit(host, method, *args):
+        return getattr(host, method)(*args)
 
     return submit, submit, list
 
@@ -71,52 +73,58 @@ def run_schedule_wave(
     wave: int,
     priority_entries: list[dict],
     total_rates: float,
-    shards: list,
+    hosts: list,
     settings: CrawlSettings,
     queued: list[tuple] | None = None,
 ) -> dict:
-    """One scheduler round.  ``shards[i]`` may be a local
-    :class:`FrontierShard` or a Ray actor handle.
+    """One scheduler round over ``settings.num_frontier_shards`` logical
+    shards held by ``hosts`` — local :class:`FrontierHost` objects or
+    Ray actor handles; shard ``sid`` lives on ``hosts[host_of(sid,
+    len(hosts))]``.
 
-    ``queued[i]`` is shard i's ``queued_keys()`` as its last commit (or
-    restore) reported it: ``(keys with queued urls, keys with queued
-    retries)``.  The round pops only rules whose own shard reports
-    queued urls and drains only shards that report queued retries.
-    Exact by one argument: a pop or drain on an empty queue changes no
-    shard state, and nothing in a round refills a queue (seeds enter the
-    wave directly), so the only effect of a skipped pop is passing
-    ``ct_base + carry`` on as its leftover — the driver adds a skipped
-    rule's ``ct_base`` to the next submitted rule's.  ``queued=None``
-    means every rule may have work: the unpruned plan, which the
-    sequential oracle runs.
+    ``queued[sid]`` is logical shard sid's ``queued_keys()`` as its last
+    commit (or restore) reported it: ``(keys with queued urls, keys
+    with queued retries)``.  The round pops only rules whose own shard
+    reports queued urls and drains only rules that report queued
+    retries.  Exact by one argument: a pop or drain on an empty queue
+    changes no shard state, and nothing in a round refills a queue
+    (seeds enter the wave directly), so the only effect of a skipped
+    pop is passing ``ct_base + carry`` on as its leftover — the driver
+    adds a skipped rule's ``ct_base`` to the next submitted rule's.
+    ``queued=None`` means every rule may have work: the unpruned plan,
+    which the sequential oracle runs.
 
     The round is submitted as ONE asynchronous plan and joined once:
 
-    - every shard call is queued up front (actor ``.remote`` calls, or
-      immediate calls on local shards) and the results are realized
+    - every host call is queued up front (actor ``.remote`` calls, or
+      immediate calls on local hosts) and the results are realized
       together at the end;
+    - per step, a host gets one call for all its shards: one retry
+      drain, one seed push per reseeded rule, and one
+      ``schedule_pop_run_chained`` per run of consecutive submitted
+      rules whose shards it holds;
     - the leftover-carry between consecutive pop runs never touches the
-      driver: each run is submitted as ``schedule_pop_run_chained`` with
-      the PREVIOUS run's left ref as an argument (Ray resolves it on the
-      receiving shard), so the quota chain is shard-to-shard dataflow
-      with no per-run driver round trip.
+      driver: each run is submitted with the PREVIOUS run's left ref as
+      an argument (Ray resolves it on the receiving host), so the quota
+      chain is host-to-host dataflow with no per-run driver round trip.
 
     Ordering semantics are EXACTLY the sequential driver loop's: per
-    shard, tasks execute in submission order (Ray actor guarantee /
-    immediate execution on a local shard), which is the reference's
-    serve order; cross-shard state is disjoint (every url lives on one
-    shard), so the only cross-shard dependency is the leftover scalar —
-    carried by the ref chain.  Local shards execute synchronously, so the
-    sequential oracle path is the plain loop.  Each shard resets its
-    per-host politeness counters on the first pop of a new wave clock.
+    host, calls execute in submission order (Ray actor guarantee /
+    immediate execution on a local host), and within a call items apply
+    in argument order, so every shard sees the reference's serve order;
+    cross-shard state is disjoint (every url lives on one shard), so the
+    only cross-shard dependency is the leftover scalar — carried by the
+    ref chain.  Each shard resets its per-host politeness counters on
+    the first pop of a new wave clock.
 
     Returns the wave's crawl batch AND the schedule-order parity log as
     one dict of parallel column lists ``{url, urllib, version, referer,
     drill_relation, retry}`` plus the scalar ``wave``; a row's ``seq`` is
     its list index.
     """
-    submit, submit_pair, resolve = _dispatch(shards)
-    num_shards = len(shards)
+    submit, submit_pair, resolve = _dispatch(hosts)
+    num_shards = settings.num_frontier_shards
+    num_hosts = len(hosts)
     version = settings.wave_version(wave)
     now = version
     quota = settings.schedule_quantity_limitation
@@ -127,8 +135,8 @@ def run_schedule_wave(
 
     tokens: list = []
 
-    def _submit(sh, m, *a) -> int:
-        tokens.append(submit(sh, m, *a))
+    def _submit(host, m, *a) -> int:
+        tokens.append(submit(hosts[host], m, *a))
         return len(tokens) - 1
 
     steps: list[tuple] = []
@@ -138,59 +146,60 @@ def run_schedule_wave(
     # own download queue — it crawls before the next scheduler round's
     # output and consumes no quota.  Wave analog: drain every rule's
     # retry queue first, in serve order, FIFO within a rule.  One
-    # batched task per shard with queued retries, submitted before any
-    # pops (per-shard execution order = submission order).
-    by_shard_keys: dict[int, list[str]] = {}
+    # batched call per host with queued retries, submitted before any
+    # pops (per-host execution order = submission order).
+    by_host_keys: dict[int, list[tuple[int, str]]] = {}
     for e in priority_entries:
         sid = shard_for_domain(e["domain"], num_shards)
         k = "urllib:" + e["key"]
         if has_work(sid, k, 1):
-            by_shard_keys.setdefault(sid, []).append(k)
+            by_host_keys.setdefault(host_of(sid, num_hosts), []).append(
+                (sid, k))
     drain_tok: dict[str, tuple[int, int]] = {}
-    for sid in sorted(by_shard_keys):
-        ti = _submit(shards[sid], "drain_retries_many",
-                     by_shard_keys[sid], now)
-        for pos, k in enumerate(by_shard_keys[sid]):
+    for h in sorted(by_host_keys):
+        ti = _submit(h, "drain_retries", by_host_keys[h], now)
+        for pos, (_sid, k) in enumerate(by_host_keys[h]):
             drain_tok[k] = (ti, pos)
 
-    # --- quota pops: runs of consecutive same-shard rules -------------
+    # --- quota pops: runs of consecutive same-host rules --------------
     prev = 0            # previous run's token (result value or ObjectRef)
     carry = 0           # ct_base of the rules skipped since the last pop
-    run_sid: int | None = None
+    run_host: int | None = None
     run_reqs: list[tuple] = []
     run_keys: list[str] = []
 
     def submit_run() -> None:
-        nonlocal prev, run_sid, run_reqs, run_keys
+        nonlocal prev, run_host, run_reqs, run_keys
         if not run_reqs:
             return
         out_tok, left_tok = submit_pair(
-            shards[run_sid], "schedule_pop_run_chained",
+            hosts[run_host], "schedule_pop_run_chained",
             list(run_reqs), prev, now)
         tokens.append(out_tok)
         steps.append(("pops", len(tokens) - 1, list(run_keys)))
         prev = left_tok
-        run_sid, run_reqs, run_keys = None, [], []
+        run_host, run_reqs, run_keys = None, [], []
 
     for entry in priority_entries:
         urllib_key = "urllib:" + entry["key"]
         # --- reSchedule (seed refresh) --------------------------------
         if now - entry["first_schedule"] >= entry["interval"] * 1000:
-            submit_run()  # earlier rules' pops precede this on the shard
+            submit_run()  # earlier rules' pops precede this on the host
             links = [link for seed in entry["seed"]
                      for link in expand_seed(seed)]
-            # one batched task per shard; the schedule log is rebuilt in
+            # one batched call per host; the schedule log is rebuilt in
             # original seed order from the returned accept flags, and
             # within-shard push order is preserved — both invariants the
             # sequential oracle checks
-            by_shard: dict[int, list[int]] = {}
-            for idx, link in enumerate(links):
-                by_shard.setdefault(
-                    shard_for_url(link, num_shards), []).append(idx)
+            sids = [shard_for_url(link, num_shards) for link in links]
+            by_host: dict[int, list[int]] = {}
+            for idx, sid in enumerate(sids):
+                by_host.setdefault(host_of(sid, num_hosts), []).append(idx)
             seed_parts = []
-            for sid, idxs in sorted(by_shard.items()):
-                ti = _submit(shards[sid], "push_seeds",
-                             [links[i] for i in idxs], version, now)
+            for h, idxs in sorted(by_host.items()):
+                ti = _submit(h, "push_seeds",
+                             [(sids[i], links[i]) for i in idxs],
+                             version, now)
                 seed_parts.append((ti, idxs))
             steps.append(("seeds", urllib_key, links, seed_parts))
             entry["first_schedule"] = version
@@ -200,10 +209,11 @@ def run_schedule_wave(
         if not has_work(sid, urllib_key, 0):
             carry += ct_base
             continue
-        if run_reqs and sid != run_sid:
+        h = host_of(sid, num_hosts)
+        if run_reqs and h != run_host:
             submit_run()
-        run_sid = sid
-        run_reqs.append((urllib_key, ct_base + carry,
+        run_host = h
+        run_reqs.append((sid, urllib_key, ct_base + carry,
                          entry["rule"] == "LIFO", entry["interval"]))
         run_keys.append(urllib_key)
         carry = 0

@@ -14,12 +14,12 @@ the fetch-sim, and per Arrow batch of fetched pages:
    (extractor.js:180-294) via the pure functions in
    :mod:`neocrawler_ray.functions.extract`;
 4. emits discovered links as a ``feedback_json`` column riding the
-   output table — the block task groups them per owning frontier shard
-   (``md5(tld) % S``) with :func:`route_feedback` and sends each shard
-   with rows one keyed ``buffer_results`` call it does not wait on (a
-   blocking per-block fan-out to all shards was measured to dominate
-   at 32 CPUs × 16 shards); the wave's commit takes the acks as
-   arguments (SURVEY.md §2.1 S10 feedback loop);
+   output table — the block task groups them per owning logical
+   frontier shard (``md5(tld) % S``) with :func:`route_feedback` and
+   sends each frontier host with rows one keyed ``buffer_results`` call
+   it does not wait on (a blocking per-block fan-out to all shards was
+   measured to dominate at 32 CPUs × 16 shards); the wave's commit
+   takes the acks as arguments (SURVEY.md §2.1 S10 feedback loop);
 5. returns the extracted rows (no html bytes unless the rule keeps them —
    wide binary stays out of the frontier path, SURVEY.md §7.5).
 
@@ -237,10 +237,11 @@ FEEDBACK_COLUMNS = ["seq", "url", "urllib", "domain", "final_state",
 
 
 def route_feedback(table: pa.Table, num_shards: int) -> dict[int, list[tuple]]:
-    """Wave output table → per-shard seq-tagged buffer rows (links +
-    final-state transitions), ready for one ``buffer_results`` RPC per
-    shard.  In a crawl each block task calls it on its own output; only
-    shards with rows appear."""
+    """Wave output table → per-logical-shard seq-tagged buffer rows
+    (links + final-state transitions), grouped by ``num_shards`` — the
+    logical count, never the host count.  In a crawl each block task
+    calls it on its own output and sends each host its shards' rows in
+    one ``buffer_results`` RPC; only shards with rows appear."""
     shard_buffers: dict[int, list[tuple]] = {}
     cols = {c: table.column(c).to_pylist() for c in FEEDBACK_COLUMNS}
     # host/domain shard ids are md5-derived — memoize (few distinct hosts

@@ -22,10 +22,11 @@ reference's Redis-backed state machine:
   replicated verbatim: ``url_info`` never carries ``type``, so the
   condition never fires — same as the reference (SURVEY.md §2.3 T2).
 
-Plain Python class: unit-testable directly and wrapped via ``ray.remote``
-by the crawl pipeline.  All timestamps are logical epoch-millis supplied
-by the caller (the wave clock) — never wall clock — so runs are
-deterministic and resumable.
+Plain Python classes: :class:`FrontierHost` holds several logical shards
+in one process and is what the crawl pipeline wraps via ``ray.remote``;
+both are unit-testable directly.  All timestamps are logical
+epoch-millis supplied by the caller (the wave clock) — never wall clock
+— so runs are deterministic and resumable.
 """
 
 from __future__ import annotations
@@ -90,29 +91,24 @@ class FrontierShard:
     # T6 retry drain — retryCrawl re-emits into the spider's own queue
     # (spider/spider.js:350-362); the wave analog is "first in next wave"
     # ------------------------------------------------------------------
-    def drain_retries_many(self, urllib_keys: list[str],
-                           now: int) -> list[list[tuple]]:
-        """Pop ALL pending retries (FIFO) of each rule in ``urllib_keys``
-        — one RPC per shard per wave.  Returns one list of ``(url,
-        version, referer, drill_relation, retry)`` rows per rule; marks
+    def drain_retries(self, urllib_key: str, now: int) -> list[tuple]:
+        """Pop ALL pending retries (FIFO) of one rule.  Returns its
+        ``(url, version, referer, drill_relation, retry)`` rows; marks
         each picked url ``crawling`` like any scheduled pickup."""
-        drained = []
-        for urllib_key in urllib_keys:
-            q = self.retry_queues.get(urllib_key)
-            out: list[tuple] = []
-            while q:
-                url, retry = q.popleft()
-                info = self.url_info.get(url_md5(url)) or {}
-                out.append(
-                    (url,
-                     int(info.get("version") or 0),
-                     info.get("referer", ""),
-                     info.get("drill_relation", "*") or "*",
-                     retry)
-                )
-                self.update_link_state(url, "crawling", False, now)
-            drained.append(out)
-        return drained
+        q = self.retry_queues.get(urllib_key)
+        out: list[tuple] = []
+        while q:
+            url, retry = q.popleft()
+            info = self.url_info.get(url_md5(url)) or {}
+            out.append(
+                (url,
+                 int(info.get("version") or 0),
+                 info.get("referer", ""),
+                 info.get("drill_relation", "*") or "*",
+                 retry)
+            )
+            self.update_link_state(url, "crawling", False, now)
+        return out
 
     # ------------------------------------------------------------------
     # helpers
@@ -166,21 +162,17 @@ class FrontierShard:
     # seed push — scheduler reSchedule path (scheduler/index.js:163-198):
     # state-stamp then straight onto the scheduled queue (bypasses checkURL)
     # ------------------------------------------------------------------
-    def push_seeds(self, links: list[str], version: int, now: int) -> list[bool]:
-        """Stamp each seed ``schedule`` (one RPC per shard per rule, in
-        seed order).  The spider-side ``crawling`` mark
-        (spider/index.js:55-59) is folded in for accepted seeds: every
-        scheduled url is picked up this wave, and ``schedule``/``crawling``
-        take the same lock branch in checkURL, so admission decisions are
-        unchanged — one RPC replaces two."""
-        out = []
-        for link in links:
-            ok = self.update_link_state(link, "schedule", version, now)
-            if ok:
-                self._bump("seed_scheduled")
-                self.update_link_state(link, "crawling", False, now)
-            out.append(ok)
-        return out
+    def push_seed(self, link: str, version: int, now: int) -> bool:
+        """Stamp one seed ``schedule``.  The spider-side ``crawling``
+        mark (spider/index.js:55-59) is folded in for an accepted seed:
+        every scheduled url is picked up this wave, and
+        ``schedule``/``crawling`` take the same lock branch in checkURL,
+        so admission decisions are unchanged — one call replaces two."""
+        ok = self.update_link_state(link, "schedule", version, now)
+        if ok:
+            self._bump("seed_scheduled")
+            self.update_link_state(link, "crawling", False, now)
+        return ok
 
     # ------------------------------------------------------------------
     # checkURL — scheduler/index.js:336-410
@@ -266,7 +258,7 @@ class FrontierShard:
                 a_ver.append(int(info.get("version") or 0))
                 a_ref.append(info.get("referer", ""))
                 a_rel.append(info.get("drill_relation", "*"))
-                # spider pickup mark folded into the pop (see push_seeds)
+                # spider pickup mark folded into the pop (see push_seed)
                 self.update_link_state(ok, "crawling", False, now, kk=kk)
                 count += 1
                 h = url_host(ok) or ""
@@ -275,22 +267,6 @@ class FrontierShard:
                 self._bump("check_rejected")
         left = ct - count if count < ct else 0
         return (a_url, a_ver, a_ref, a_rel), left
-
-    def schedule_pop_run_chained(self, reqs: list[tuple], prev, now: int):
-        """A run of consecutive same-shard ``schedule_pop``s in one RPC,
-        chaining the leftover-carry exactly as the driver loop would
-        (reqs: ``(urllib_key, ct_base, lifo, interval)``).  The incoming
-        leftover ``prev`` is the PREVIOUS run's ``left`` — a plain int
-        locally, a Ray-resolved ObjectRef when the driver submits the
-        whole pop chain without joining between runs (the leftover
-        scalar travels shard-to-shard as task-argument dataflow)."""
-        left = int(prev)
-        out = []
-        for urllib_key, ct_base, lifo, interval in reqs:
-            accepted, left = self.schedule_pop(
-                urllib_key, ct_base + left, lifo, interval, now)
-            out.append(accepted)
-        return out, left
 
     def queue_len(self, urllib_key: str) -> int:
         q = self.queues.get(urllib_key)
@@ -330,6 +306,11 @@ class FrontierShard:
         self._buffer[(wave, block_lo)] = rows
         return len(rows)
 
+    def stale_keys(self, wave: int) -> list[tuple[int, int]]:
+        """Buffer keys of any other wave than ``wave``: rows a late
+        delivery (a dead block-task attempt) left behind."""
+        return sorted(k for k in self._buffer if k[0] != wave)
+
     def commit_wave(self, now: int) -> dict:
         """Apply buffered link saves + state transitions in deterministic
         order; clears the buffer.  Returns per-event counts."""
@@ -361,41 +342,6 @@ class FrontierShard:
         for k, v in counts.items():
             self._bump(k, v)
         return counts
-
-    def commit_wave_and_checkpoint(self, now: int, ckpt_dir: str,
-                                   wave: int, do_ckpt: bool = True,
-                                   *_acks) -> tuple:
-        """Wave barrier with the north_rule's per-partition checkpoint
-        written BY THE SHARD — snapshot bytes never ship through the
-        driver.  The snapshot (state is quiescent at the barrier) goes to
-        a temp file that is renamed into place before this call returns,
-        so a returned commit means the file is on disk: the driver
-        writes the manifest for wave k once it has every shard's result,
-        and a manifest never names an unwritten file.  Single-node paths
-        here; on a cluster the same call targets shared storage.
-        Returns ``(counts, queued_keys())`` — the next scheduler round
-        plans from the second.  ``_acks``: this wave's ``buffer_results``
-        refs, passed so Ray runs the commit after every delivery.  Rows
-        buffered under another wave (a late delivery from a dead
-        block-task attempt) raise instead of being applied."""
-        import os
-
-        stale = sorted(k for k in self._buffer if k[0] != wave)
-        if stale:
-            raise RuntimeError(f"shard {self.shard_id}: wave {wave} commit "
-                               f"found rows buffered for {stale}")
-        counts = self.commit_wave(now)
-        # do_ckpt=False is the checkpoint-cadence skip (deployment
-        # knob): state still commits; resume replays the uncheckpointed
-        # waves deterministically from the last snapshot
-        if do_ckpt:
-            d = os.path.join(ckpt_dir, f"shard={self.shard_id}")
-            os.makedirs(d, exist_ok=True)
-            tmp = os.path.join(d, f".wave_{wave}.pkl.tmp")
-            with open(tmp, "wb") as f:
-                f.write(self.snapshot())
-            os.replace(tmp, os.path.join(d, f"wave_{wave}.pkl"))
-        return counts, self.queued_keys()
 
     # ------------------------------------------------------------------
     # save_links single-link admission — spider/pipeline.js:119-193
@@ -572,3 +518,139 @@ class FrontierShard:
         self.metrics = d["metrics"]
         self._buffer = {}
         return self.queued_keys()
+
+
+def host_of(sid: int, num_hosts: int) -> int:
+    """Index of the :class:`FrontierHost` that holds logical shard
+    ``sid`` when ``num_hosts`` hosts serve the shards."""
+    return sid % num_hosts
+
+
+class FrontierHost:
+    """The logical shards ``sids`` in one process: the unit the crawl
+    pipeline runs as a Ray actor.  ``num_frontier_shards`` stays the
+    logical partition count (url ownership, checkpoint files, url-seen
+    files, per-shard metrics); a host only saves the per-process cost
+    of an actor per shard, and turns what would be one call per shard
+    in a step into one call per host.  Every method takes or returns
+    per-sid payloads; cross-shard state is disjoint, so applying them
+    shard by shard in argument order is what separate shard actors
+    would do with the same calls."""
+
+    def __init__(self, sids: list[int], rules: dict,
+                 settings: CrawlSettings):
+        self.shards = {sid: FrontierShard(sid, rules, settings)
+                       for sid in sids}
+
+    def update_rules(self, rules: dict) -> None:
+        for sh in self.shards.values():
+            sh.update_rules(rules)
+
+    # --- one scheduler round: each a list of per-sid items in serve order
+    def drain_retries(self, keys: list[tuple[int, str]],
+                      now: int) -> list[list[tuple]]:
+        """T6 retry drain of ``(sid, urllib_key)`` items: one row list
+        per item (see :meth:`FrontierShard.drain_retries`)."""
+        return [self.shards[sid].drain_retries(k, now) for sid, k in keys]
+
+    def push_seeds(self, links: list[tuple[int, str]], version: int,
+                   now: int) -> list[bool]:
+        """Seed push of ``(sid, link)`` items, one accept flag each."""
+        return [self.shards[sid].push_seed(link, version, now)
+                for sid, link in links]
+
+    def schedule_pop_run_chained(self, reqs: list[tuple], prev, now: int):
+        """A run of consecutive ``schedule_pop``s on this host's shards in
+        one call, chaining the leftover-carry exactly as the driver loop
+        would (reqs: ``(sid, urllib_key, ct_base, lifo, interval)``).
+        The incoming leftover ``prev`` is the PREVIOUS run's ``left`` —
+        a plain int locally, a Ray-resolved ObjectRef when the driver
+        submits the whole pop chain without joining between runs (the
+        leftover scalar travels host-to-host as task-argument
+        dataflow)."""
+        left = int(prev)
+        out = []
+        for sid, urllib_key, ct_base, lifo, interval in reqs:
+            accepted, left = self.shards[sid].schedule_pop(
+                urllib_key, ct_base + left, lifo, interval, now)
+            out.append(accepted)
+        return out, left
+
+    # --- one wave's feedback and its barrier ---------------------------
+    def buffer_results(self, wave: int, block_lo: int,
+                       rows: dict[int, list[tuple]]) -> int:
+        """One block's feedback rows for this host's shards, ``{sid:
+        rows}``, each buffered under ``(wave, block_lo)`` (see
+        :meth:`FrontierShard.buffer_results`)."""
+        return sum(self.shards[sid].buffer_results(wave, block_lo, r)
+                   for sid, r in rows.items())
+
+    def commit_wave_and_checkpoint(self, now: int, ckpt_dir: str,
+                                   wave: int, do_ckpt: bool = True,
+                                   *_acks) -> dict[int, tuple]:
+        """Wave barrier with the north_rule's per-partition checkpoint
+        written BY THE HOST — snapshot bytes never ship through the
+        driver.  Each shard's snapshot (state is quiescent at the
+        barrier) goes to ``shard={sid}/`` as a temp file that is renamed
+        into place before this call returns, so a returned commit means
+        the files are on disk: the driver writes the manifest for wave k
+        once it has every host's result, and a manifest never names an
+        unwritten file.  Single-node paths here; on a cluster the same
+        call targets shared storage.  Returns ``{sid: (counts,
+        queued_keys())}`` — the next scheduler round plans from the
+        second.  ``_acks``: this wave's ``buffer_results`` refs, passed
+        so Ray runs the commit after every delivery.  Rows buffered
+        under another wave (a late delivery from a dead block-task
+        attempt) raise before any shard applies anything."""
+        import os
+
+        stale = {sid: ks for sid, sh in self.shards.items()
+                 if (ks := sh.stale_keys(wave))}
+        if stale:
+            raise RuntimeError(f"wave {wave} commit found rows buffered "
+                               f"for other waves: {stale}")
+        out = {}
+        for sid, sh in self.shards.items():
+            counts = sh.commit_wave(now)
+            # do_ckpt=False is the checkpoint-cadence skip (deployment
+            # knob): state still commits; resume replays the
+            # uncheckpointed waves deterministically from the last
+            # snapshot
+            if do_ckpt:
+                d = os.path.join(ckpt_dir, f"shard={sid}")
+                os.makedirs(d, exist_ok=True)
+                tmp = os.path.join(d, f".wave_{wave}.pkl.tmp")
+                with open(tmp, "wb") as f:
+                    f.write(sh.snapshot())
+                os.replace(tmp, os.path.join(d, f"wave_{wave}.pkl"))
+            out[sid] = counts, sh.queued_keys()
+        return out
+
+    def restore(self, ckpt_dir: str, wave: int) -> dict[int, tuple]:
+        """Load every hosted shard's ``shard={sid}/wave_{wave}.pkl``
+        (written by a commit, under any host count); returns ``{sid:
+        queued_keys()}`` as a commit does."""
+        import os
+
+        out = {}
+        for sid, sh in self.shards.items():
+            p = os.path.join(ckpt_dir, f"shard={sid}", f"wave_{wave}.pkl")
+            with open(p, "rb") as f:
+                out[sid] = sh.restore(f.read())
+        return out
+
+    # --- memory bound and end-of-run reports ---------------------------
+    def spill_cold_state(self, now: int, keep_ms: int,
+                         spill_dir: str | None = None) -> int:
+        return sum(sh.spill_cold_state(now, keep_ms, spill_dir)
+                   for sh in self.shards.values())
+
+    def write_seen(self, seen_dir: str) -> int:
+        return sum(sh.write_seen(seen_dir) for sh in self.shards.values())
+
+    def stats(self, sid: int | None = None):
+        """Shard ``sid``'s stats, or ``{sid: stats}`` of every hosted
+        shard."""
+        if sid is not None:
+            return self.shards[sid].stats()
+        return {s: sh.stats() for s, sh in self.shards.items()}

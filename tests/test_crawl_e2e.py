@@ -530,7 +530,7 @@ def test_block_wait_leaves_feedback_remote(corpus, tmp_path_factory,
 def test_retried_block_does_not_double_apply(corpus, tmp_path_factory,
                                              ray_session):
     """A block task retried after it delivered its feedback: the real
-    ``_wave_block_write`` run twice on one block against live shard
+    ``_wave_block_write`` run twice on one block against live host
     actors commits the same counts and shard stats as one run, because
     the shards key each delivery by ``(wave, block_lo)``."""
     import ray
@@ -546,7 +546,7 @@ def test_retried_block_does_not_double_apply(corpus, tmp_path_factory,
         out = str(tmp_path_factory.mktemp("retry_out"))
         job = CrawlJob(corpus, s, out)
         sched = run_schedule_wave(0, job.entries, job.total_rates,
-                                  job.shards, s, job._queued)
+                                  job.hosts, s, job._queued)
         tbl = ray.put(_scheduled_to_table(sched))
         n = len(sched["url"])
         for _ in range(attempts):
@@ -556,16 +556,136 @@ def test_retried_block_does_not_double_apply(corpus, tmp_path_factory,
                 tbl, 0, 0, n, f"{out}/part-00000.parquet", job._wave_kw_ref))
             ray.get(list(acks.values()))
         commits = ray.get([
-            sh.commit_wave_and_checkpoint.remote(
+            host.commit_wave_and_checkpoint.remote(
                 s.wave_version(0), job.ckpt_dir, 0, False,
-                *([acks[i]] if i in acks else []))
-            for i, sh in enumerate(job.shards)])
-        return ([c for c, _q in commits],
+                *([acks[h]] if h in acks else []))
+            for h, host in enumerate(job.hosts)])
+        return ([by_sid[sid][0] for by_sid in commits
+                 for sid in sorted(by_sid)],
                 ray.get([sh.stats.remote() for sh in job.shards]))
 
     once = run(1)
     assert sum(c["links_saved"] for c in once[0]) > 0
     assert run(2) == once
+
+
+# ------------------- several logical shards per host ---------------------
+def _signature(out):
+    from __ray_entry__ import _crawl_artifact_sig
+
+    return [_crawl_artifact_sig(out, sub)
+            for sub in ("extracted", "schedule", "url_seen")]
+
+
+def test_two_shards_per_host_parity(corpus, tmp_path_factory, ray_session,
+                                    oracle_result, monkeypatch):
+    """S=4 logical shards on H=2 hosts: the same schedule order and
+    URL-seen set as the sequential oracle, and still one checkpoint
+    file, one url-seen file and one metrics row per logical shard."""
+    import json
+    import os
+
+    from neocrawler_ray.pipelines import crawl
+
+    monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 2)
+    out = str(tmp_path_factory.mktemp("two_per_host_out"))
+    job = crawl.CrawlJob(corpus, _settings(), out)
+    assert len(job.hosts) == 2 and len(job.shards) == 4
+    totals = job.run()
+    assert _schedule_rows(out) == [
+        (r["wave"], r["seq"], r["url"], r["urllib"])
+        for r in oracle_result["schedule_log"]]
+    assert totals["waves"] == oracle_result["waves"]
+    seen = pq.read_table(f"{out}/url_seen").column("url_md5").to_pylist()
+    assert set(seen) == set(oracle_result["url_seen"].keys())
+    assert sorted(os.listdir(f"{out}/url_seen")) == [
+        f"shard={i}.parquet" for i in range(4)]
+    assert sorted(d for d in os.listdir(f"{out}/ckpt")
+                  if d.startswith("shard=")) == [f"shard={i}"
+                                                 for i in range(4)]
+    with open(f"{out}/metrics.json") as f:
+        assert [m["shard"] for m in json.load(f)["shards"]] == [0, 1, 2, 3]
+
+
+def test_resume_under_another_host_count(corpus, tmp_path_factory,
+                                         ray_session, engine_out,
+                                         monkeypatch):
+    """Checkpoint files are per logical shard, so a run checkpointed on
+    2 hosts resumes on 4 (each host opens its own shards' files) and
+    matches the uninterrupted run's extracted/, schedule/ and url_seen/
+    signatures."""
+    from neocrawler_ray.pipelines import crawl
+
+    out_full, _ = engine_out
+    out = str(tmp_path_factory.mktemp("rehost_out"))
+    monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 2)
+    crawl.CrawlJob(corpus, _settings(), out).run(max_waves=3)
+    monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 4)
+    job = crawl.CrawlJob(corpus, _settings(), out, resume=True)
+    assert job.start_wave == 3 and len(job.hosts) == 4
+    job.run()
+    assert _signature(out) == _signature(out_full)
+
+
+def test_dead_host_fails_fast(corpus, tmp_path_factory, ray_session,
+                              engine_out, monkeypatch):
+    """A host actor killed after its wave-1 feedback deliveries landed
+    and before the commit makes ``run()`` raise, and the host stays dead
+    instead of restarting empty (``max_restarts=0``); the manifest still
+    names wave 0, from which a resume — on 2 hosts instead of 4, so
+    each host restores two shards — reproduces the uninterrupted
+    run."""
+    import json
+    import os
+    import time
+
+    import ray
+
+    from neocrawler_ray.pipelines import crawl
+
+    out_full, _ = engine_out
+    out = str(tmp_path_factory.mktemp("dead_host_out"))
+    monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 4)
+    job = crawl.CrawlJob(corpus, _settings(), out)
+    real_get = ray.get
+    block_waits = []
+
+    def get(refs, *args, **kw):
+        got = real_get(refs, *args, **kw)
+        # the block barrier: every value is (breaker tallies, host acks)
+        if (isinstance(got, list) and got
+                and all(isinstance(v, tuple) and len(v) == 2
+                        and isinstance(v[0], dict) and "finish" in v[0]
+                        for v in got)):
+            block_waits.append(len(got))
+            if len(block_waits) == 2:  # wave 1, not committed yet
+                real_get([a[1] for _c, a in got if 1 in a])  # delivered
+                ray.kill(job.hosts[1], no_restart=False)
+                # the kill is asynchronous: return (and let the commit be
+                # submitted) only once the host answers no call
+                for _ in range(200):
+                    try:
+                        real_get(job.hosts[1].stats.remote())
+                    except ray.exceptions.RayActorError:
+                        break
+                    time.sleep(0.05)
+        return got
+
+    monkeypatch.setattr(ray, "get", get)
+    with pytest.raises(ray.exceptions.RayActorError):
+        job.run()
+    monkeypatch.setattr(ray, "get", real_get)
+    assert len(block_waits) == 2
+    with pytest.raises(ray.exceptions.RayActorError):  # dead, not empty
+        ray.get(job.hosts[1].stats.remote())
+    with open(os.path.join(out, "ckpt", "manifest.json")) as f:
+        assert json.load(f)["last_complete_wave"] == 0
+
+    monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 2)
+    resumed = crawl.CrawlJob(corpus, _settings(), out, resume=True)
+    assert resumed.start_wave == 1 and len(resumed.hosts) == 2
+    resumed.run()
+    assert _signature(out) == _signature(out_full)
 
 
 def test_corpus_from_crawl_bridge(engine_out, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from neocrawler_ray.config import CrawlSettings, RuleSet
 from neocrawler_ray.functions.urls import url_md5
 from neocrawler_ray.pipelines.scheduler import run_schedule_wave
-from neocrawler_ray.state.frontier import FrontierShard
+from neocrawler_ray.state.frontier import FrontierHost, FrontierShard, host_of
 
 DOMAIN = "site0.example"
 RULES = {
@@ -179,7 +179,8 @@ def test_run_schedule_wave_quota_and_seeds():
         schedule_quantity_limitation=10, num_frontier_shards=1,
         politeness_per_host_per_wave=0,
     )
-    shard = FrontierShard(0, RULES, settings)
+    host = FrontierHost([0], RULES, settings)
+    shard = host.shards[0]
     ruleset = RuleSet(RULES)
     entries = ruleset.priority_list()
     # rates: list=(100+10)/1=110, detail=(100+0)/2=50 → list served first
@@ -189,7 +190,7 @@ def test_run_schedule_wave_quota_and_seeds():
     for i in range(8):
         shard._save_link(URLLIB, f"http://www.site0.example/item_{i}?id={i}",
                          "http://ref", "*", 1, now=0)
-    sched = run_schedule_wave(0, entries, total, [shard], settings)
+    sched = run_schedule_wave(0, entries, total, [host], settings)
     # wave 0: list rule reseeds (3 range-expanded seeds, bypass quota),
     # list queue empty → ct_list=ceil(10/160*110)=7 unmet → left=7;
     # detail ct = ceil(10/160*50)+7 = 11 → pops all 8 queued
@@ -200,14 +201,15 @@ def test_run_schedule_wave_quota_and_seeds():
     assert all(len(sched[c]) == 11 for c in
                ("urllib", "version", "referer", "drill_relation", "retry"))
     # determinism: fresh run gives identical schedule
-    shard2 = FrontierShard(0, RULES, CrawlSettings(
+    host2 = FrontierHost([0], RULES, CrawlSettings(
         schedule_quantity_limitation=10, num_frontier_shards=1,
         politeness_per_host_per_wave=0))
     for i in range(8):
-        shard2._save_link(URLLIB, f"http://www.site0.example/item_{i}?id={i}",
-                          "http://ref", "*", 1, now=0)
+        host2.shards[0]._save_link(
+            URLLIB, f"http://www.site0.example/item_{i}?id={i}",
+            "http://ref", "*", 1, now=0)
     entries2 = RuleSet(RULES).priority_list()
-    sched2 = run_schedule_wave(0, entries2, total, [shard2], settings)
+    sched2 = run_schedule_wave(0, entries2, total, [host2], settings)
     assert sched == sched2
 
 
@@ -222,14 +224,15 @@ def _quota_wave(pruned: bool):
         schedule_quantity_limitation=10, num_frontier_shards=1,
         politeness_per_host_per_wave=0,
     )
-    shard = FrontierShard(0, RULES, settings)
+    host = FrontierHost([0], RULES, settings)
+    shard = host.shards[0]
     for i in range(8):
         shard._save_link(URLLIB, f"http://www.site0.example/item_{i}?id={i}",
                          "http://ref", "*", 1, now=0)
     queued = [shard.queued_keys()] if pruned else None
     ruleset = RuleSet(RULES)
     return run_schedule_wave(0, ruleset.priority_list(), ruleset.total_rates,
-                             [shard], settings, queued)
+                             [host], settings, queued)
 
 
 def test_speculative_schedule_equals_chained():
@@ -253,7 +256,8 @@ def test_speculative_schedule_no_carry_case():
     )
 
     def run(pruned):
-        shard = FrontierShard(0, RULES, settings)
+        host = FrontierHost([0], RULES, settings)
+        shard = host.shards[0]
         for i in range(50):
             shard._save_link(
                 URLLIB, f"http://www.site0.example/item_{i}?id={i}",
@@ -264,31 +268,34 @@ def test_speculative_schedule_no_carry_case():
         for e in entries:
             e["first_schedule"] = 10**18
         queued = [shard.queued_keys()] if pruned else None
-        return run_schedule_wave(0, entries, rs.total_rates, [shard],
+        return run_schedule_wave(0, entries, rs.total_rates, [host],
                                  settings, queued)
 
     a, b = run(True), run(False)
     assert a == b and len(a["url"]) > 0
 
 
-class _CountingShard:
-    """A local shard that records the name of every method called on it."""
+class _CountingHost:
+    """A local host that records the name of every method called on it."""
 
-    def __init__(self, shard):
-        self._shard = shard
+    def __init__(self, host):
+        self._host = host
         self.calls: list[str] = []
 
     def __getattr__(self, name):
         def call(*args):
             self.calls.append(name)
-            return getattr(self._shard, name)(*args)
+            return getattr(self._host, name)(*args)
         return call
 
 
 def test_schedule_calls_only_shards_with_work():
-    """6 rules over 3 shards, one rule with queued urls, no queued
-    retry: a non-seed wave issues exactly one pop call, no drain and no
-    other shard call — and schedules what the unpruned plan does."""
+    """6 rules over 3 shards, no queued retry: a non-seed wave issues no
+    drain and no call to a host without work, and one pop call per run
+    of consecutive submitted rules on one host — and schedules what the
+    unpruned plan does.  With work on one rule, that is one pop call
+    whether the 3 shards sit on 3 hosts or on 1; with work on a rule of
+    every shard, 1 host still takes a single pop call."""
     from neocrawler_ray.pipelines.scheduler import shard_for_domain
 
     site: dict[int, int] = {}  # shard → index of one siteN.example on it
@@ -310,17 +317,26 @@ def test_schedule_calls_only_shards_with_work():
     # serve order
     settings = CrawlSettings(schedule_quantity_limitation=18,
                              num_frontier_shards=3)
-    dom = f"site{site[1]}.example"
-    key = f"urllib:driller:{dom}:item"
-    urls = [f"http://www.{dom}/item_{j}?id={j}" for j in range(3)]
 
-    def shards_and_report():
-        shards = [FrontierShard(i, rules, settings) for i in range(3)]
-        shards[1].buffer_results(0, 0, [
-            (j, "link", (0, 0, key, u, "http://ref", "*", 1))
-            for j, u in enumerate(urls)])
-        return shards, [sh.commit_wave_and_checkpoint(0, "", 0, False)[1]
-                        for sh in shards]
+    def work(sid):
+        dom = f"site{site[sid]}.example"
+        return sid, f"urllib:driller:{dom}:item", [
+            f"http://www.{dom}/item_{j}?id={j}" for j in range(3)]
+
+    def hosts_and_report(n_hosts, sids):
+        hosts = [FrontierHost([s for s in range(3) if host_of(s, n_hosts)
+                               == h], rules, settings)
+                 for h in range(n_hosts)]
+        for sid, key, urls in map(work, sids):
+            hosts[host_of(sid, n_hosts)].buffer_results(0, sid, {sid: [
+                (j, "link", (0, 0, key, u, "http://ref", "*", 1))
+                for j, u in enumerate(urls)]})
+        report = [None] * 3
+        for h in hosts:
+            for sid, (_c, q) in h.commit_wave_and_checkpoint(
+                    0, "", 0, False).items():
+                report[sid] = q
+        return hosts, report
 
     def entries():
         rs = RuleSet(rules)
@@ -329,16 +345,20 @@ def test_schedule_calls_only_shards_with_work():
             e["first_schedule"] = 10**18  # no seed refresh is due
         return es, rs.total_rates
 
-    shards, report = shards_and_report()
-    assert report[1] == (frozenset([key]), frozenset())
-    counted = [_CountingShard(sh) for sh in shards]
-    sched = run_schedule_wave(1, *entries(), counted, settings, report)
-    assert [c.calls for c in counted] == [
-        [], ["schedule_pop_run_chained"], []]
-    assert sched["url"] == urls
-
-    plain, _ = shards_and_report()
-    assert run_schedule_wave(1, *entries(), plain, settings) == sched
+    for n_hosts, sids, calls in [
+            (3, [1], [[], ["schedule_pop_run_chained"], []]),
+            (1, [1], [["schedule_pop_run_chained"]]),
+            (1, [0, 1, 2], [["schedule_pop_run_chained"]])]:
+        hosts, report = hosts_and_report(n_hosts, sids)
+        assert report == [(frozenset([work(s)[1]]) if s in sids
+                           else frozenset(), frozenset()) for s in range(3)]
+        counted = [_CountingHost(h) for h in hosts]
+        sched = run_schedule_wave(1, *entries(), counted, settings, report)
+        assert [c.calls for c in counted] == calls
+        assert sorted(sched["url"]) == sorted(u for s in sids
+                                              for u in work(s)[2])
+        plain, _ = hosts_and_report(n_hosts, sids)
+        assert run_schedule_wave(1, *entries(), plain, settings) == sched
 
 
 # --------------------------- snapshot/restore -----------------------------
@@ -414,7 +434,7 @@ def test_snapshot_restore_roundtrip(ops, ct, lifo):
     assert _state(clone) == _state(shard)
 
     def next_wave(sh):
-        return (sh.drain_retries_many(KEYS, now),
+        return ([sh.drain_retries(k, now) for k in KEYS],
                 [sh.schedule_pop(k, ct, lifo, 3600, now) for k in KEYS])
 
     assert next_wave(clone) == next_wave(shard)

@@ -179,14 +179,17 @@ def test_popcount64_matches_bin_count(vals):
 # the chained one was the deleted speculative plan.)
 # ``run_schedule_wave`` given the queued keys the shards' commits report
 # must schedule exactly what it schedules given ``None`` (every rule
-# popped and drained), and leave every shard in the same state.
+# popped and drained), and leave every shard in the same state — also
+# when the logical shards share fewer hosts than one per shard, whose
+# calls merge what separate hosts would receive.
 # Randomize everything the carry algebra depends on: rule count, 1-2
 # rules per domain (rules sharing a host share its politeness budget),
 # weights/priorities (serve order and quotas), per-rule queue depths
 # (forcing every carry shape: empty rules, quota-limited rules, deep
 # absorbers), wave quota, FIFO/LIFO, the shard count (multi-shard
-# exercises per-shard interleaving) and the politeness budget — off,
-# binding, or at the quota + #rules bound where it can no longer bind.
+# exercises per-shard interleaving), the host count and the politeness
+# budget — off, binding, or at the quota + #rules bound where it can no
+# longer bind.
 
 _ALIASES = (("list", "item"), ("page", "page"))
 
@@ -220,17 +223,18 @@ def _sched_config(draw):
 
 @st.composite
 def _two_wave_config(draw):
-    """``_sched_config`` plus, per rule: seeds and the wave their
-    refresh is due (never, 0 or 1), queued retries, and the links and
-    retries a commit between the two waves adds."""
+    """``_sched_config`` plus a host count, and per rule: seeds and the
+    wave their refresh is due (never, 0 or 1), queued retries, and the
+    links and retries a commit between the two waves adds."""
     rules, depths, quota, shards, budget = draw(_sched_config())
+    hosts = draw(st.integers(1, shards))
     extra = {r: (draw(st.integers(0, 3)),                    # seeds
                  draw(st.sampled_from([None, 0, 1])),        # due wave
                  draw(st.integers(0, 2)),                    # retries
                  draw(st.integers(0, 6)),                    # new links
                  draw(st.integers(0, 2)))                    # new retries
              for r in depths}
-    return rules, depths, quota, shards, budget, extra
+    return rules, depths, quota, shards, hosts, budget, extra
 
 
 @given(_two_wave_config())
@@ -241,9 +245,9 @@ def test_speculative_schedule_equivalence_property(cfg):
     from neocrawler_ray.config import CrawlSettings, RuleSet
     from neocrawler_ray.pipelines.scheduler import (run_schedule_wave,
                                                     shard_for_url)
-    from neocrawler_ray.state.frontier import FrontierShard
+    from neocrawler_ray.state.frontier import FrontierHost, host_of
 
-    rules, depths, quota, n_shards, budget, extra = cfg
+    rules, depths, quota, n_shards, n_hosts, budget, extra = cfg
     rules = copy.deepcopy(rules)
     for (dom, alias, stem), (n_seeds, *_rest) in extra.items():
         rules[dom][alias]["seed"] = [f"http://www.{dom}/{stem}_{j}?id={j}"
@@ -272,16 +276,25 @@ def test_speculative_schedule_equivalence_property(cfg):
                 rows.append((u, "retry", (u, key, 1)))
         return rows
 
-    def run(pruned: bool) -> list:
-        shards = [FrontierShard(i, rules, settings_)
+    def run(pruned: bool, n_hosts: int) -> list:
+        hosts = [FrontierHost([i for i in range(n_shards)
+                               if host_of(i, n_hosts) == h],
+                              rules, settings_)
+                 for h in range(n_hosts)]
+        shards = [hosts[host_of(i, n_hosts)].shards[i]
                   for i in range(n_shards)]
 
         def commit(now: int, rows: list) -> list:
             for seq, (u, kind, payload) in enumerate(rows):
-                shards[shard_for_url(u, n_shards)].buffer_results(
-                    0, seq, [(seq, kind, payload)])
-            return [sh.commit_wave_and_checkpoint(now, "", 0, False)[1]
-                    for sh in shards]
+                sid = shard_for_url(u, n_shards)
+                hosts[host_of(sid, n_hosts)].buffer_results(
+                    0, seq, {sid: [(seq, kind, payload)]})
+            report = [None] * n_shards
+            for host in hosts:
+                for sid, (_c, q) in host.commit_wave_and_checkpoint(
+                        now, "", 0, False).items():
+                    report[sid] = q
+            return report
 
         rs = RuleSet(rules)
         entries = rs.priority_list()
@@ -292,7 +305,7 @@ def test_speculative_schedule_equivalence_property(cfg):
         report = commit(0, rows_for(None, 2, 0))
         trace = []
         for wave in (0, 1):
-            cols = run_schedule_wave(wave, entries, rs.total_rates, shards,
+            cols = run_schedule_wave(wave, entries, rs.total_rates, hosts,
                                      settings_, report if pruned else None)
             trace.append(copy.deepcopy((cols, [
                 (sh.url_info, {k: list(v) for k, v in sh.queues.items()},
@@ -312,7 +325,9 @@ def test_speculative_schedule_equivalence_property(cfg):
                             done + rows_for(3, 4, 100))
         return trace
 
-    assert run(True) == run(False)
+    one_per_host = run(False, n_shards)
+    assert run(True, n_shards) == one_per_host
+    assert run(True, n_hosts) == one_per_host
 
 
 @given(st.lists(_ROW, max_size=16), st.integers(0, 3), st.data())
@@ -326,7 +341,7 @@ def test_keyed_redelivery_equals_one_delivery(rows, wave, data):
     import pytest
 
     from neocrawler_ray.config import CrawlSettings
-    from neocrawler_ray.state.frontier import FrontierShard
+    from neocrawler_ray.state.frontier import FrontierHost
 
     tagged = [(seq, kind, payload) for seq, (kind, payload)
               in enumerate(rows)]
@@ -338,11 +353,12 @@ def test_keyed_redelivery_equals_one_delivery(rows, wave, data):
     now = 61 * 60_000
 
     def commit(delivered):
-        shard = FrontierShard(0, RULES, CrawlSettings())
+        host = FrontierHost([0], RULES, CrawlSettings())
+        shard = host.shards[0]
         for lo, blk in delivered:
-            shard.buffer_results(wave, lo, blk)
-        counts, queued = shard.commit_wave_and_checkpoint(now, "", wave,
-                                                          False)
+            host.buffer_results(wave, lo, {0: blk})
+        counts, queued = host.commit_wave_and_checkpoint(now, "", wave,
+                                                         False)[0]
         return (counts, queued, shard.url_info,
                 {k: list(v) for k, v in shard.queues.items()},
                 {k: list(v) for k, v in shard.retry_queues.items()},
@@ -350,11 +366,13 @@ def test_keyed_redelivery_equals_one_delivery(rows, wave, data):
 
     assert commit(deliveries) == commit(blocks)
 
-    stale = FrontierShard(0, RULES, CrawlSettings())
-    stale.buffer_results(wave + 1, 0, tagged)
+    stale = FrontierHost([0, 1], RULES, CrawlSettings())
+    stale.buffer_results(wave, 0, {0: tagged})
+    stale.buffer_results(wave + 1, 0, {1: tagged})
     with pytest.raises(RuntimeError, match="buffered"):
         stale.commit_wave_and_checkpoint(now, "", wave, False)
-    assert stale.url_info == {} and stale.metrics == {}
+    assert all(sh.url_info == {} and sh.metrics == {}
+               for sh in stale.shards.values())
 
 
 @given(st.lists(st.text(alphabet=st.characters(codec="utf-8",
