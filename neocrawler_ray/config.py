@@ -26,9 +26,6 @@ class CrawlSettings:
     # ``cumulative_failure > spider_concurrency*1.5`` then process.exit
     to_much_fail_exit: bool = False
     circuit_breaker_factor: float = 1.5
-    # T5 rules hot-reload (scheduler/index.js:63-120 polls every 120 s):
-    # wave-boundary re-read of rules.json when its mtime/digest changes
-    rules_reload: bool = True
 
     # --- reference policy constants (per call-site — SURVEY.md §7.3) ----
     scheduler_lock_ms: int = 60 * 60 * 1000      # scheduler/index.js:381-383
@@ -81,13 +78,6 @@ class RuleSet:
     """Broadcastable driller-rule snapshot: {domain: {alias: rule}}."""
 
     rules: dict[str, dict[str, dict]] = field(default_factory=dict)
-
-    @staticmethod
-    def from_json_file(path: str) -> "RuleSet":
-        import json
-
-        with open(path) as f:
-            return RuleSet(json.load(f))
 
     def priority_list(self, max_weight: int = 100) -> list[dict]:
         """Rule serve-order entries sorted by rate desc (stable), rate =

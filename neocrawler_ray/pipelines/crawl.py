@@ -176,15 +176,11 @@ def _scheduled_to_table(scheduled: dict) -> pa.Table:
             "wave": pa.array([scheduled["wave"]] * n, pa.int32()),
             "url": pa.array(scheduled["url"], pa.string()),
             "urllib": pa.array(scheduled["urllib"], pa.string()),
-            "version": pa.array(
-                (int(v) for v in scheduled["version"]), pa.int64()),
-            "referer": pa.array(
-                (r or "" for r in scheduled["referer"]), pa.string()),
-            "drill_relation": pa.array(
-                (r or "*" for r in scheduled["drill_relation"]),
-                pa.string()),
-            "retry": pa.array(
-                (int(r or 0) for r in scheduled["retry"]), pa.int32()),
+            "version": pa.array(scheduled["version"], pa.int64()),
+            "referer": pa.array(scheduled["referer"], pa.string()),
+            "drill_relation": pa.array(scheduled["drill_relation"],
+                                       pa.string()),
+            "retry": pa.array(scheduled["retry"], pa.int32()),
         },
         schema=SCHED_SCHEMA,
     )
@@ -222,8 +218,7 @@ class CrawlJob:
             self.rules = json.load(f)
         with open(os.path.join(corpus_dir, "meta.json")) as f:
             self.corpus_meta = json.load(f)
-        self.ruleset = RuleSet(self.rules)
-        self.entries = self.ruleset.priority_list(settings.max_weight)
+        self.entries = RuleSet(self.rules).priority_list(settings.max_weight)
         self.total_rates = sum(e["rate"] for e in self.entries)
 
         S = settings.num_frontier_shards
@@ -337,8 +332,6 @@ class CrawlJob:
     def _maybe_reload_rules(self) -> bool:
         import ray
 
-        if not self.settings.rules_reload:
-            return False
         sig, blob = self._rules_signature()
         if sig == self._rules_sig or blob is None:
             return False
@@ -351,9 +344,9 @@ class CrawlJob:
             return False
         self._rules_sig = sig
         self.rules = new_rules
-        self.ruleset = RuleSet(self.rules)
         old_fs = {e["key"]: e["first_schedule"] for e in self.entries}
-        self.entries = self.ruleset.priority_list(self.settings.max_weight)
+        self.entries = RuleSet(self.rules).priority_list(
+            self.settings.max_weight)
         for e in self.entries:
             # existing rules keep their reSchedule clocks; NEW rules get
             # 0 → their seeds enter the very next wave (driller:*:updated

@@ -57,9 +57,9 @@ def _requeue(ckpt_dir: str, pick) -> int:
         queues = {k: list(v) for k, v in snap["queues"].items()}
         membership = {k: set(q) for k, q in queues.items()}
         for info in snap["url_info"].values():
-            url, trace = info.get("url"), info.get("trace") or ""
-            if not url or not want(info, trace):
+            if not want(info):
                 continue
+            url, trace = info["url"], info["trace"]
             info["status"] = "hit"
             if url not in membership.setdefault(trace, set()):
                 queues.setdefault(trace, []).append(url)
@@ -75,8 +75,9 @@ def replay_failures(ckpt_dir: str, pattern: str = ".*") -> int:
     matches ``pattern``.  Returns the number of urls replayed."""
     rx = re.compile(pattern)
 
-    def want(info, trace):
-        return info.get("status") == "crawled_failure" and rx.search(trace)
+    def want(info):
+        return (info["status"] == "crawled_failure"
+                and rx.search(info["trace"]))
 
     return _requeue(ckpt_dir, lambda snap: want)
 
@@ -91,13 +92,12 @@ def replay_stuck(ckpt_dir: str, older_than_ms: int,
         clock = now
         if clock is None:
             clock = max(
-                (int(i.get("last") or 0) for i in snap["url_info"].values()),
+                (i["last"] for i in snap["url_info"].values()),
                 default=0,
             )
-        return lambda info, trace: (
-            info.get("status") in ("crawling", "schedule")
-            and clock - int(info.get("last") or 0) >= older_than_ms
-            and bool(trace))
+        return lambda info: (
+            info["status"] in ("crawling", "schedule")
+            and clock - info["last"] >= older_than_ms)
 
     return _requeue(ckpt_dir, pick)
 
@@ -131,12 +131,12 @@ def failure_report(ckpt_dir: str):
     rows = []
     for _path, snap in _latest_snapshots(ckpt_dir):
         for kk, info in snap["url_info"].items():
-            st = info.get("status")
+            st = info["status"]
             if st in ("crawled_failure", "crawling", "schedule"):
                 rows.append(
-                    {"url_md5": kk, "url": info.get("url") or "",
-                     "urllib": info.get("trace") or "", "status": st,
-                     "last": int(info.get("last") or 0)}
+                    {"url_md5": kk, "url": info["url"],
+                     "urllib": info["trace"], "status": st,
+                     "last": info["last"]}
                 )
     rows.sort(key=lambda r: (r["status"], r["url_md5"]))
     return pa.Table.from_pylist(

@@ -235,7 +235,7 @@ def run_schedule_wave(
         c_ulib.append(urllib_key)
         c_ver.append(ver)
         c_ref.append(referer)
-        c_rel.append(relation or "*")
+        c_rel.append(relation)
         c_retry.append(retry)
 
     # retry drains first, in serve order
@@ -265,7 +265,7 @@ def run_schedule_wave(
                 c_ulib.extend([urllib_key] * len(u))
                 c_ver.extend(v)
                 c_ref.extend(rf)
-                c_rel.extend((r or "*") for r in rl)
+                c_rel.extend(rl)
                 c_retry.extend([0] * len(u))
     return {"wave": wave, "url": c_url, "urllib": c_ulib, "version": c_ver,
             "referer": c_ref, "drill_relation": c_rel, "retry": c_retry}

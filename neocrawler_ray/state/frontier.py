@@ -9,18 +9,17 @@ keyed by its domain, each rule's urllib queue lives entirely on one shard.
 The shard re-expresses, with exact per-call-site constants, the
 reference's Redis-backed state machine:
 
-- per-URL state record keyed by ``md5(url)`` with ``records`` ring of the
-  last 3 states (reference: spider/spider.js:380-460,
-  scheduler/index.js:417-480);
+- per-URL state record keyed by ``md5(url)``, one fixed shape
+  ``{url, trace, referer, last, status, version, drill_relation}``
+  (reference: spider/spider.js:380-460, scheduler/index.js:417-480); the
+  reference's ``create`` stamp and ``records`` ring of the last 3 states
+  are not kept — no policy decision reads them (SURVEY.md §1.1);
 - scheduler-side admission ``checkURL`` — 60-min crawling/schedule lock,
   ``hit``/``crawled_failure`` bypass (scheduler/index.js:336-410);
 - link-save admission — 10-min crawling/schedule lock, 2-day ``hit``
   lock, immediate re-admit of ``crawled_failure``, status→``hit``
   *without* touching ``last`` (spider/pipeline.js:119-193);
-- FIFO/LIFO pops per rule's ``schedule_rule`` (scheduler/index.js:219-247);
-- the (dormant-in-the-reference) branch-new-version fast path is
-  replicated verbatim: ``url_info`` never carries ``type``, so the
-  condition never fires — same as the reference (SURVEY.md §2.3 T2).
+- FIFO/LIFO pops per rule's ``schedule_rule`` (scheduler/index.js:219-247).
 
 Plain Python classes: :class:`FrontierHost` holds several logical shards
 in one process and is what the crawl pipeline wraps via ``ray.remote``;
@@ -41,8 +40,13 @@ from ..functions.urls import detect_link, transform_link, url_host, url_md5
 # Snapshot layout version, written into the checkpoint manifest; resume
 # refuses any other version.  Bump whenever the dict ``snapshot()``
 # pickles changes keys or value shapes.  v3 dropped the ``"seen"``
-# filter table that v1/v2 snapshots carried.
-STATE_FORMAT_VERSION = 3
+# filter table that v1/v2 snapshots carried; v4 dropped the per-URL
+# ``records`` ring and ``create`` stamp.
+STATE_FORMAT_VERSION = 4
+
+# what ``drain_retries`` reads for a retried url without a record (one
+# whose url no rule matches)
+_NO_RECORD = {"version": 0, "referer": "", "drill_relation": "*"}
 
 
 def check_state_format(manifest: dict) -> None:
@@ -81,11 +85,10 @@ class FrontierShard:
         self._host_now: int | None = None
         self.metrics: dict[str, int] = {}
 
-    def update_rules(self, rules: dict) -> bool:
+    def update_rules(self, rules: dict) -> None:
         """T5 hot-reload: swap the rule snapshot (wave-boundary only —
         the shard is quiescent between commit and the next schedule)."""
         self.rules = rules
-        return True
 
     # ------------------------------------------------------------------
     # T6 retry drain — retryCrawl re-emits into the spider's own queue
@@ -99,15 +102,11 @@ class FrontierShard:
         out: list[tuple] = []
         while q:
             url, retry = q.popleft()
-            info = self.url_info.get(url_md5(url)) or {}
-            out.append(
-                (url,
-                 int(info.get("version") or 0),
-                 info.get("referer", ""),
-                 info.get("drill_relation", "*") or "*",
-                 retry)
-            )
-            self.update_link_state(url, "crawling", False, now)
+            kk = url_md5(url)
+            info = self.url_info.get(kk, _NO_RECORD)
+            out.append((url, info["version"], info["referer"],
+                        info["drill_relation"], retry))
+            self.update_link_state(url, "crawling", False, now, kk=kk)
         return out
 
     # ------------------------------------------------------------------
@@ -133,9 +132,6 @@ class FrontierShard:
             kk = url_md5(link)
         info = self.url_info.get(kk)
         if info is not None:
-            records = info.get("records", [])
-            records = (records + [state])[-3:]
-            info["records"] = records
             info["last"] = now
             info["status"] = state
             if version:
@@ -144,18 +140,15 @@ class FrontierShard:
         urllib_key, _rule = detect_link(link, self.rules)
         if urllib_key is None:
             return False
-        info = {
+        self.url_info[kk] = {
             "url": link,
             "trace": "urllib:" + urllib_key,
             "referer": "",
-            "create": now,
-            "records": [],
             "last": now,
             "status": state,
+            "version": version or 0,
+            "drill_relation": "*",
         }
-        if version:
-            info["version"] = version
-        self.url_info[kk] = info
         return True
 
     # ------------------------------------------------------------------
@@ -163,55 +156,47 @@ class FrontierShard:
     # state-stamp then straight onto the scheduled queue (bypasses checkURL)
     # ------------------------------------------------------------------
     def push_seed(self, link: str, version: int, now: int) -> bool:
-        """Stamp one seed ``schedule``.  The spider-side ``crawling``
-        mark (spider/index.js:55-59) is folded in for an accepted seed:
-        every scheduled url is picked up this wave, and
-        ``schedule``/``crawling`` take the same lock branch in checkURL,
-        so admission decisions are unchanged — one call replaces two."""
-        ok = self.update_link_state(link, "schedule", version, now)
+        """Stamp one seed straight to ``crawling``: the reference's
+        ``schedule`` stamp is overwritten by the spider-side pickup mark
+        (spider/index.js:55-59) within the same wave, every scheduled url
+        is picked up that wave, and ``schedule``/``crawling`` take the
+        same lock branch in checkURL — so one write replaces two."""
+        ok = self.update_link_state(link, "crawling", version, now)
         if ok:
             self._bump("seed_scheduled")
-            self.update_link_state(link, "crawling", False, now)
         return ok
 
     # ------------------------------------------------------------------
     # checkURL — scheduler/index.js:336-410
     # ------------------------------------------------------------------
     def _check_url(self, url: str, interval: int, now: int, _depth: int = 0):
+        """Admission decision only: ``(url, record)`` of the url to
+        schedule (``url`` may be its transformed form), or None.  The
+        caller writes the pickup state."""
         if _depth > 4:
             return None
-        kk = url_md5(url)
-        info = self.url_info.get(kk)
+        info = self.url_info.get(url_md5(url))
         if info is None:
             return None  # 'not exists in urlinfo' → dropped
-        trace = info.get("trace")
-        if trace:
-            rule = self._rule_for_urllib(trace)
-            t_url = transform_link(url, rule)
-            if t_url != url:
-                return self._check_url(t_url, interval, now, _depth + 1)
-            if rule is None:
-                # stale trace repair (scheduler/index.js:355-370)
-                urllib_key, _r = detect_link(url, self.rules)
-                if urllib_key is None:
-                    return None
-                info["trace"] = "urllib:" + urllib_key
-                return self._check_url(url, interval, now, _depth + 1)
-        status = info.get("status")
-        last = int(info.get("last") or 0)
-        version = int(info.get("version") or 0)
-        type_ = info.get("type")  # never populated — dormant, as in reference
+        rule = self._rule_for_urllib(info["trace"])
+        t_url = transform_link(url, rule)
+        if t_url != url:
+            return self._check_url(t_url, interval, now, _depth + 1)
+        if rule is None:
+            # stale trace repair (scheduler/index.js:355-370)
+            urllib_key, _r = detect_link(url, self.rules)
+            if urllib_key is None:
+                return None
+            info["trace"] = "urllib:" + urllib_key
+            return self._check_url(url, interval, now, _depth + 1)
+        status = info["status"]
         if status not in ("crawled_failure", "hit"):
             real_interval = interval * 1000
             if status in ("crawling", "schedule"):
                 real_interval = self.settings.scheduler_lock_ms
-            if status == "crawled_finish" and type_ == "branch" and version > last:
-                real_interval = 0
-            if now - last < real_interval:
+            if now - info["last"] < real_interval:
                 return None
-        if not self.update_link_state(url, "schedule", False, now, kk=kk):
-            return None
-        return url, kk
+        return url, info
 
     # ------------------------------------------------------------------
     # doScheduleExt pop loop — scheduler/index.js:205-260, plus the wave
@@ -250,16 +235,17 @@ class FrontierShard:
                     self._bump("politeness_deferred")
                     break
             url = q.pop() if lifo else q.popleft()
-            ok_kk = self._check_url(url, interval, now)
-            if ok_kk is not None:
-                ok, kk = ok_kk
-                info = self.url_info[kk]
+            admitted = self._check_url(url, interval, now)
+            if admitted is not None:
+                ok, info = admitted
                 a_url.append(ok)
-                a_ver.append(int(info.get("version") or 0))
-                a_ref.append(info.get("referer", ""))
-                a_rel.append(info.get("drill_relation", "*"))
-                # spider pickup mark folded into the pop (see push_seed)
-                self.update_link_state(ok, "crawling", False, now, kk=kk)
+                a_ver.append(info["version"])
+                a_ref.append(info["referer"])
+                a_rel.append(info["drill_relation"])
+                # the reference's ``schedule`` stamp and spider pickup
+                # mark, as one write (see push_seed)
+                info["last"] = now
+                info["status"] = "crawling"
                 count += 1
                 h = url_host(ok) or ""
                 host_budget[h] = host_budget.get(h, 0) + 1
@@ -356,39 +342,31 @@ class FrontierShard:
         info = self.url_info.get(kk)
         if info is not None:
             validate = True
-            status = info.get("status")
-            last = int(info.get("last") or 0)
-            t_version = info.get("version")
-            type_ = info.get("type")  # dormant, as in reference
+            status = info["status"]
             if status != "crawled_failure":
                 real_interval = int(rule.get("schedule_interval", 3600)) * 1000
                 if status in ("crawling", "schedule"):
                     real_interval = self.settings.linksave_lock_ms
                 if status == "hit":
                     real_interval = self.settings.linksave_hit_lock_ms
-                if (status == "crawled_finish" and type_ == "branch"
-                        and version > last):
-                    real_interval = 0
-                if now - last < real_interval:
+                if now - info["last"] < real_interval:
                     validate = False
             if validate:
                 info["status"] = "hit"  # note: 'last' NOT updated (parity)
-            if t_version is None or version > int(t_version):
+            if version > info["version"]:
                 info["version"] = version
         else:
-            info = {
+            self.url_info[kk] = {
                 "url": link,  # original link (pre-transform), as in reference
-                "version": version,
                 "trace": urllib_key,
                 "referer": page_url,
-                "create": now,
-                "records": [],
                 "last": now,
                 "status": "hit",
+                "version": version,
+                "drill_relation": ((drill_relation or "*")
+                                   if self.settings.keep_link_relation
+                                   else "*"),
             }
-            if self.settings.keep_link_relation:
-                info["drill_relation"] = drill_relation or "*"
-            self.url_info[kk] = info
             validate = True
         if validate:
             self.queues.setdefault(urllib_key, deque()).append(final_link)
@@ -425,7 +403,7 @@ class FrontierShard:
         interval_cache: dict[str, int] = {}
 
         def _keep_for(info: dict) -> int:
-            trace = info.get("trace") or ""
+            trace = info["trace"]
             keep = interval_cache.get(trace)
             if keep is None:
                 rule = self._rule_for_urllib(trace) or {}
@@ -437,15 +415,15 @@ class FrontierShard:
 
         cold = [
             kk for kk, info in self.url_info.items()
-            if info.get("status") in ("crawled_finish", "crawled_failure")
-            and now - int(info.get("last") or 0) >= _keep_for(info)
+            if info["status"] in ("crawled_finish", "crawled_failure")
+            and now - info["last"] >= _keep_for(info)
         ]
         if spill_dir and cold:
             os.makedirs(spill_dir, exist_ok=True)
             rows = [
-                {"url_md5": kk, "url": self.url_info[kk].get("url") or "",
-                 "status": self.url_info[kk].get("status") or "",
-                 "last": int(self.url_info[kk].get("last") or 0)}
+                {"url_md5": kk, "url": self.url_info[kk]["url"],
+                 "status": self.url_info[kk]["status"],
+                 "last": self.url_info[kk]["last"]}
                 for kk in cold
             ]
             pq_.write_table(

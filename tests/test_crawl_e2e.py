@@ -232,7 +232,8 @@ def fmt_ckpt(corpus, tmp_path_factory, ray_session):
     "fmt", [*range(1, STATE_FORMAT_VERSION), None],
     ids=lambda v: "absent" if v is None else f"v{v}")
 def test_resume_refuses_mismatched_state_format(corpus, fmt_ckpt, fmt):
-    """A checkpoint written under any older shard snapshot layout (v2
+    """A checkpoint written under any older shard snapshot layout (v3
+    records still carried the ``records`` ring and ``create`` stamp; v2
     still pickled the cuckoo filter table; a manifest without the field
     predates versioning) is refused, not unpickled into this build's
     shards — and the offline replay tools refuse it too, instead of
@@ -623,6 +624,34 @@ def test_resume_under_another_host_count(corpus, tmp_path_factory,
     monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 4)
     job = crawl.CrawlJob(corpus, _settings(), out, resume=True)
     assert job.start_wave == 3 and len(job.hosts) == 4
+    job.run()
+    assert _signature(out) == _signature(out_full)
+
+
+def test_resume_replays_uncheckpointed_wave(corpus, tmp_path_factory,
+                                            ray_session, engine_out):
+    """checkpoint_every=2 snapshots only waves 1, 3, ...: a run stopped
+    after wave 2 leaves the manifest on wave 1 and no wave-2 snapshot,
+    and its resume replays wave 2 into the uninterrupted run's
+    extracted/, schedule/ and url_seen/ signatures."""
+    import json
+    import os
+
+    from neocrawler_ray.pipelines.crawl import CrawlJob
+
+    out_full, _ = engine_out
+    out = str(tmp_path_factory.mktemp("cadence_out"))
+    settings = _settings(checkpoint_every=2)
+    CrawlJob(corpus, settings, out).run(max_waves=3)
+    ckpt = os.path.join(out, "ckpt")
+    with open(os.path.join(ckpt, "manifest.json")) as f:
+        assert json.load(f)["last_complete_wave"] == 1
+    for i in range(settings.num_frontier_shards):
+        shard_dir = os.path.join(ckpt, f"shard={i}")
+        assert os.path.exists(os.path.join(shard_dir, "wave_1.pkl"))
+        assert not os.path.exists(os.path.join(shard_dir, "wave_2.pkl"))
+    job = CrawlJob(corpus, settings, out, resume=True)
+    assert job.start_wave == 2
     job.run()
     assert _signature(out) == _signature(out_full)
 

@@ -421,8 +421,8 @@ def _state(shard):
 def test_snapshot_restore_roundtrip(ops, ct, lifo):
     """``restore(snapshot())`` reproduces every piece of shard state the
     engine reads, and the clone then schedules exactly as the original.
-    The snapshot's key set is pinned: changing it must bump
-    ``STATE_FORMAT_VERSION``."""
+    The snapshot's key set and its per-URL record shape are pinned:
+    changing either must bump ``STATE_FORMAT_VERSION``."""
     settings_ = CrawlSettings(politeness_per_host_per_wave=3)
     shard = FrontierShard(0, RULES, settings_)
     now = _apply(shard, ops) + 61 * 60_000
@@ -439,6 +439,9 @@ def test_snapshot_restore_roundtrip(ops, ct, lifo):
 
     assert next_wave(clone) == next_wave(shard)
     assert _state(clone) == _state(shard)
+    assert all(set(info) == {"url", "trace", "referer", "last", "status",
+                             "version", "drill_relation"}
+               for info in shard.url_info.values())
 
 
 def test_spill_cold_state_keeps_membership(tmp_path):
