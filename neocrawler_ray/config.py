@@ -1,15 +1,19 @@
 """Run configuration for the crawl engine.
 
 Mirrors the reference's ``instance/*/settings.json`` knobs (reference:
-README.md:100-120) plus the engine's own distribution knobs (shard counts,
-actor-pool sizes).  Rules are re-read at wave boundaries when
-``rules.json`` changes on disk (T5-lite re-expression of the reference's
-120 s hot-reload poll, scheduler/index.js:63-120).
+README.md:100-120) plus the engine's own distribution knobs (shard
+count, block size, checkpoint cadence).  Rules are re-read at wave
+boundaries when ``rules.json`` changes on disk (T5-lite re-expression of
+the reference's 120 s hot-reload poll, scheduler/index.js:63-120).
+Wave ``k``'s logical clock is ``LOGICAL_EPOCH_MS + k ×
+schedule_interval`` seconds — never wall clock, so runs replay exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+LOGICAL_EPOCH_MS = 1_735_689_600_000  # 2025-01-01T00:00:00Z, wave 0's clock
 
 
 @dataclass
@@ -41,7 +45,6 @@ class CrawlSettings:
     num_frontier_shards: int = 8
     extract_batch_size: int = 256
     max_waves: int = 50
-    logical_epoch_ms: int = 1_735_689_600_000    # 2025-01-01T00:00:00Z, logical clock base
 
     # checkpoint cadence: snapshot every Nth wave (1 = every wave, the
     # parity/default setting).  Resume restores the last checkpointed
@@ -49,12 +52,6 @@ class CrawlSettings:
     # recovery work is bounded by the knob; throughput runs can trade
     # snapshot pickling/IO per wave for a slightly longer replay
     checkpoint_every: int = 1
-
-    # --- frontier memory bound (0 = disabled; parity runs keep full state)
-    # evict terminal per-URL state older than this many logical ms after
-    # each wave commit; a re-discovered evicted url is re-admitted as new
-    # (see FrontierShard.spill_cold_state)
-    state_spill_keep_ms: int = 0
 
     # --- paths ----------------------------------------------------------
     checkpoint_dir: str | None = None
@@ -70,7 +67,7 @@ class CrawlSettings:
     def wave_version(self, wave: int) -> int:
         """Deterministic logical timestamp for a wave (replaces the
         reference's wall-clock ``schedule_version``, scheduler/index.js:126)."""
-        return self.logical_epoch_ms + wave * self.schedule_interval * 1000
+        return LOGICAL_EPOCH_MS + wave * self.schedule_interval * 1000
 
 
 @dataclass

@@ -9,24 +9,26 @@ cost a measured ≈1.9 s CPU and ≈122 MB each, and a process beyond the
 CPU count adds no parallelism; a host takes one call per step for all
 its shards.
 
-Each wave is one fan-out over the scheduled table::
+Each wave is one straight line — schedule → blocks → commit →
+manifest — and the driver joins each step before the next::
 
-    scheduled batch (from frontier pops, deterministic order)
+    schedule: frontier pops in deterministic order, planned from the
+      queued keys the previous commit reported, so only shards with
+      work are called
       → blocks grouped by pages-shard (fetch locality), table put once
-      → raw task per block: fused fetch-sim + extract → its own parquet
-        part under wave=k/ (worker-global caches persist per run; see
-        _wave_block_write for why this beats a per-wave Ray Data
-        micro-pipeline — the ~0.39 s/wave executor+sink fixed cost),
-        then one keyed buffer RPC per frontier host the block has
-        feedback rows for
+      → raw task per block: fused fetch-sim + extract on the worker
+        kernel (one cached pair per worker process, see _worker_kernel)
+        → its own parquet part under wave=k/ (see _wave_block_write for
+        why this beats a per-wave Ray Data micro-pipeline — the
+        ~0.39 s/wave executor+sink fixed cost), then one keyed buffer
+        RPC per frontier host the block has feedback rows for
       → plugin sink (if any): the driver hands each written part to
         ``sink_batch`` in part order
-      → commit_wave (deterministic order), one call per host, run by
-        Ray once the host's buffer RPCs (its arguments) landed →
-        checkpoint, one file per logical shard, written by the host
-        inside the same commit call, which also reports the rules with
-        queued urls or retries; the next wave's schedule is planned
-        from that report, so it calls only shards with work
+      → commit barrier: commit_wave (deterministic order), one call per
+        host, run by Ray once the host's buffer RPCs (its arguments)
+        landed; the host checkpoints each logical shard inside the same
+        call and reports the rules with queued urls or retries
+      → manifest naming this wave
 
 The bulk analytics/corpus pipelines remain Ray Data end to end; only
 this iterative ~170-sub-second-task wave loop uses raw tasks, with or
@@ -42,18 +44,18 @@ reference's sequential scheduler+spider (parity target: schedule order
 + URL-seen set, SURVEY.md §2.9).  Design notes measured via ``ds.stats()``/phase
 timers: per-wave actor pools, per-block frontier RPC barriers, and
 per-rule scheduler RPCs each dominated wall time at high CPU counts and
-were restructured away (task-mode singletons, unawaited keyed
+were restructured away (the per-worker kernel, unawaited keyed
 deliveries, queue-length schedule skip).
 
 Checkpoint/resume (north_rule): after every wave each logical shard
 snapshots (url state + queues + retry queues + metrics) to
 ``ckpt/shard={i}/wave_{k}.pkl`` before its host's commit call returns;
-when the driver harvests wave k's commits it writes an atomic manifest
-naming wave k, with the rule ``first_schedule`` clocks as of the end of
-wave k.  ``resume=True`` has each host read its own shards' files of the
-latest complete wave — under any host count, since the files are per
-logical shard — and continues; waves already written are skipped (their
-Parquet output is the resumable unit).
+once every host's wave-k commit returned, the driver writes an atomic
+manifest naming wave k, with the rule ``first_schedule`` clocks as of
+the end of wave k.  ``resume=True`` has each host read its own shards'
+files of the latest complete wave — under any host count, since the
+files are per logical shard — and continues; waves already written are
+skipped (their Parquet output is the resumable unit).
 """
 
 from __future__ import annotations
@@ -70,13 +72,47 @@ import pyarrow.parquet as pq
 from ..config import CrawlSettings, RuleSet
 from ..functions.urls import url_host
 from ..sources.pages_gen import _host_shard
-from ..stages.extract_stage import extract_batch_task, route_feedback
-from ..stages.fetch import (browser_rules_map, build_robots_map,
-                            cookie_rules_map, fetch_sim_batch,
-                            load_partition_refs, proxy_rules_map)
+from ..stages.extract_stage import ExtractBatch, route_feedback
+from ..stages.fetch import (FetchSim, browser_rules_map, build_robots_map,
+                            cookie_rules_map, load_partition_refs,
+                            proxy_rules_map)
 from ..state.frontier import (STATE_FORMAT_VERSION, FrontierHost,
                               check_state_format, host_of)
 from .scheduler import run_schedule_wave
+
+
+# the worker kernel: {token: (FetchSim, ExtractBatch)} of the newest
+# wave kwargs this worker process has seen — one entry, so a worker
+# never holds a finished job's (or a superseded rules version's) caches
+_KERNEL: dict[str, tuple[FetchSim, ExtractBatch]] = {}
+
+
+def _worker_kernel(kw: dict) -> tuple[FetchSim, ExtractBatch]:
+    """This process's ``(FetchSim, ExtractBatch)`` pair for the wave
+    kwargs ``kw``, built on the first block task that carries
+    ``kw["token"]``.  Ray reuses worker processes across tasks, so the
+    pair — and the fetch-sim's pages-partition cache with it — lives for
+    the whole wave loop, the once-per-worker setup of an actor pool
+    without an actor per wave.  ``kw["rules"]`` is a nested ref resolved
+    here once per token; the browser, proxy and cookie dispatch maps
+    derive from those rules, so a rules reload (a new token) rebuilds
+    them with the pair."""
+    import ray
+
+    pair = _KERNEL.get(kw["token"])
+    if pair is None:
+        rules = ray.get(kw["rules"])
+        pair = (FetchSim(kw["corpus_dir"], kw["robots_map"],
+                         kw["pages_shards"],
+                         partition_refs=kw["partition_refs"],
+                         plugin=kw["plugin"],
+                         browser_map=browser_rules_map(rules),
+                         proxy_map=proxy_rules_map(rules),
+                         cookie_map=cookie_rules_map(rules)),
+                ExtractBatch(rules, kw["settings"], [], plugin=kw["plugin"]))
+        _KERNEL.clear()
+        _KERNEL[kw["token"]] = pair
+    return pair
 
 
 def _wave_block_write(tbl, wave, lo, hi, part_path, kw):
@@ -92,10 +128,8 @@ def _wave_block_write(tbl, wave, lo, hi, part_path, kw):
     frontier loop dispatching ~170 sub-second tasks per wave is the
     documented "Dataset API can't express it efficiently" exception.
     ``tbl`` arrives as a top-level ObjectRef arg (auto-deref, zero-copy
-    from plasma); ``kw`` is the run-invariant ``{"fetch": ...,
-    "extract": ..., "hosts": ..., "num_shards": ...}`` kwargs put ONCE
-    per run (nested robots/rules refs stay refs — the kernels
-    ``ray.get`` them into their worker-global caches).
+    from plasma); ``kw`` is the wave kwargs dict ``CrawlJob`` puts once
+    per job and once per rules reload (see :func:`_worker_kernel`).
 
     The block delivers its own feedback: rows are grouped by logical
     shard, then one unawaited ``buffer_results(wave, lo, {sid: rows})``
@@ -103,8 +137,8 @@ def _wave_block_write(tbl, wave, lo, hi, part_path, kw):
     task's CPU and let Ray start another worker).  A retry re-delivers
     under the same key, which the host's shards overwrite.  Returns the
     T7 breaker tallies and ``{host index: ack}``."""
-    fetched = fetch_sim_batch(tbl.slice(lo, hi - lo), **kw["fetch"])
-    out = extract_batch_task(fetched, **kw["extract"])
+    fetch, extract = _worker_kernel(kw)
+    out = extract(fetch(tbl.slice(lo, hi - lo)))
     pq.write_table(out, part_path)
     hosts = kw["hosts"]
     by_host: dict[int, dict[int, list]] = {}
@@ -245,20 +279,12 @@ class CrawlJob:
         ]
         self.shards = [_shard_handle(self.hosts[host_of(sid, H)], sid)
                        for sid in range(S)]
-        self.rules_ref = ray.put(self.rules)
-        # S6 browser dispatch table (tiny: jshandle rules only) + T8
-        # simulated-proxy rule set
-        self.browser_map = browser_rules_map(self.rules)
-        self.proxy_map = proxy_rules_map(self.rules)
-        self.cookie_map = cookie_rules_map(self.rules)
-        # uuid, not pid+id(): id() reuse after GC could hand a new job the
-        # previous job's worker-global fetch/extract singletons
-        self.run_token = uuid.uuid4().hex
         self.partition_refs = load_partition_refs(
             corpus_dir, self.corpus_meta.get("pages_shards", 16))
 
         # spider_extend surface (SURVEY.md §2.10): assembly runs once on
-        # the driver (spider/index.js:43); batch hooks ride into the actors
+        # the driver (spider/index.js:43); batch hooks ride into the
+        # block tasks
         self.plugin = plugin
         if plugin is not None:
             plugin.assembly({"corpus_dir": corpus_dir, "out_dir": out_dir})
@@ -277,7 +303,6 @@ class CrawlJob:
         # T5 hot-reload signature of rules.json
         self._rules_path = os.path.join(corpus_dir, "rules.json")
         self._rules_sig = self._rules_signature()[0]
-        self.rules_version = 0
         # per-run host→pages-shard memo (few distinct hosts, md5-derived)
         self._host_shard_cache: dict[str, int] = {}
         self._rebuild_wave_kw()
@@ -299,32 +324,25 @@ class CrawlJob:
             return ((0, ""), None)
 
     def _rebuild_wave_kw(self) -> None:
-        """One ``ray.put`` of the run-invariant block-task kwargs (rebuilt
-        on rules hot-reload, which bumps ``rules_version``).  Nested
-        ObjectRefs/actor handles survive the put — the kernels deref
-        them into worker-global caches.  The plugin rides along, so its
-        ``download_batch``/``extract_batch`` hooks run in the block
-        tasks on a per-worker copy."""
+        """One ``ray.put`` of the block tasks' wave kwargs, for a new job
+        and again on each rules hot-reload.  Each put mints a fresh
+        ``token`` — a uuid, not pid+id(): id() reuse after GC could hand
+        a new job the previous job's worker kernel.  Nested ObjectRefs
+        and actor handles survive the put; the rules ride as their own
+        ref, resolved once per worker kernel.  The plugin rides along,
+        so its ``download_batch``/``extract_batch`` hooks run in the
+        block tasks on a per-worker copy."""
         import ray
 
-        common = dict(run_token=self.run_token, plugin=self.plugin,
-                      rules_version=self.rules_version)
         self._wave_kw_ref = ray.put({
-            "fetch": dict(
-                common,
-                corpus_dir=self.corpus_dir,
-                robots_map=self.robots_ref,
-                pages_shards=self.corpus_meta.get("pages_shards", 16),
-                partition_refs=self.partition_refs,
-                browser_map=self.browser_map,
-                proxy_map=self.proxy_map,
-                cookie_map=self.cookie_map,
-            ),
-            "extract": dict(
-                common,
-                rules_ref=self.rules_ref,
-                settings=self.settings,
-            ),
+            "token": uuid.uuid4().hex,
+            "rules": ray.put(self.rules),
+            "settings": self.settings,
+            "plugin": self.plugin,
+            "corpus_dir": self.corpus_dir,
+            "robots_map": self.robots_ref,
+            "pages_shards": self.corpus_meta.get("pages_shards", 16),
+            "partition_refs": self.partition_refs,
             "hosts": self.hosts,
             "num_shards": len(self.shards),
         })
@@ -353,11 +371,6 @@ class CrawlJob:
             # semantics, scheduler/index.js:109-117)
             e["first_schedule"] = old_fs.get(e["key"], 0)
         self.total_rates = sum(e["rate"] for e in self.entries)
-        self.rules_ref = ray.put(self.rules)
-        self.browser_map = browser_rules_map(self.rules)
-        self.proxy_map = proxy_rules_map(self.rules)
-        self.cookie_map = cookie_rules_map(self.rules)
-        self.rules_version += 1
         ray.get([h.update_rules.remote(self.rules) for h in self.hosts])
         self._rebuild_wave_kw()
         return True
@@ -428,37 +441,9 @@ class CrawlJob:
             for sid, q in restored.items():
                 self._queued[sid] = q
         self._restoring = []
-        # in-flight commit of the previous wave: {"wave", "futures",
-        # "spill", "clocks"} — harvested before the next wave's
-        # schedule, which plans from the queued keys the commits report.
-        # Nothing is lost by not overlapping the two: every pop the
-        # schedule sends a host would queue behind that host's commit
-        # anyway (actor ordering).
-        pending: dict | None = None
-
-        def _harvest() -> None:
-            nonlocal pending
-            if pending is None:
-                return
-            for by_sid in ray.get(pending["futures"]):
-                for sid, (c, q) in by_sid.items():
-                    self._queued[sid] = q
-                    for k, v in c.items():
-                        totals[k] = totals.get(k, 0) + v
-            if pending["spill"]:
-                totals["state_spilled"] = (
-                    totals.get("state_spilled", 0)
-                    + sum(ray.get(pending["spill"])))
-            if pending["clocks"] is not None:
-                # every host renamed its shards' checkpoint files into
-                # place before its commit call returned, so the manifest
-                # can name this wave now
-                self._write_manifest(pending["wave"], pending["clocks"])
-            pending = None
 
         while wave < max_waves:
             self._maybe_reload_rules()
-            _harvest()
             scheduled = run_schedule_wave(
                 wave, self.entries, self.total_rates, self.hosts, s,
                 self._queued)
@@ -517,11 +502,10 @@ class CrawlJob:
                 i = j
             # one broadcast of the wave table; each task slices its row
             # range zero-copy.  ONE fused task (fetch-sim + extract) per
-            # block with worker-global singletons: worker processes (and
-            # their pages-partition / compiled-rules caches) persist
-            # across waves, and fusing halves per-block task overhead —
-            # the html bytes never cross the object store between the
-            # stages
+            # block on the worker kernel: worker processes (and their
+            # pages-partition / compiled-rules caches) persist across
+            # waves, and fusing halves per-block task overhead — the html
+            # bytes never cross the object store between the stages
             table_ref = ray.put(sorted_tbl)
             wave_path = os.path.join(self.out_dir, "extracted", f"wave={wave}")
             # a crash-resume (or rerun into the same out_dir) re-executes
@@ -551,30 +535,27 @@ class CrawlJob:
             # ---- deterministic frontier commit + checkpoint -------------
             # each host writes its shards' checkpoint files (atomic
             # rename) inside its commit call — the per-partition snapshot
-            # bytes never ship through the driver.  Submit-only here: the
-            # futures are harvested at the top of the next wave (or by
-            # on_wave_end / the end of the run).
-            do_ckpt = (wave + 1) % s.checkpoint_every == 0
-            pending = {
-                "wave": wave,
-                # clocks as of the end of THIS wave: a manifest carrying
-                # a later schedule's clocks would make a resumed run skip
-                # reSchedules its replay must perform
-                "clocks": ({e["key"]: e["first_schedule"]
-                            for e in self.entries} if do_ckpt else None),
-                "futures": [
-                    host.commit_wave_and_checkpoint.remote(
-                        version, self.ckpt_dir, wave, do_ckpt, *acks[h])
-                    for h, host in enumerate(self.hosts)
-                ],
-                "spill": (
-                    [host.spill_cold_state.remote(
-                        version, s.state_spill_keep_ms,
-                        os.path.join(self.out_dir, "state_spill"))
-                     for host in self.hosts]
-                    if s.state_spill_keep_ms else []),
-            }
+            # bytes never ship through the driver — and reports each
+            # shard's queued keys, from which the next wave's schedule
+            # is planned
             totals["scheduled"] = totals.get("scheduled", 0) + n
+            do_ckpt = (wave + 1) % s.checkpoint_every == 0
+            commits = [host.commit_wave_and_checkpoint.remote(
+                version, self.ckpt_dir, wave, do_ckpt, *acks[h])
+                for h, host in enumerate(self.hosts)]
+            for by_sid in ray.get(commits):
+                for sid, (c, q) in by_sid.items():
+                    self._queued[sid] = q
+                    for k, v in c.items():
+                        totals[k] = totals.get(k, 0) + v
+            if do_ckpt:
+                # every host renamed its shards' files into place before
+                # its commit returned, so the manifest can name this
+                # wave.  Its clocks are as of the end of THIS wave: a
+                # later schedule's clocks would make a resumed run skip
+                # reSchedules its replay must perform
+                self._write_manifest(wave, {e["key"]: e["first_schedule"]
+                                            for e in self.entries})
 
             # --- T7 circuit breaker (extractor.js:416-423 wave analog):
             # running counter +1 per failed attempt, -1 per success,
@@ -596,12 +577,9 @@ class CrawlJob:
                     wave += 1
                     break
             if on_wave_end is not None:
-                # doc contract: fires after this wave's commit is applied
-                _harvest()
                 on_wave_end(wave)
             wave += 1
 
-        _harvest()
         totals["waves"] = wave
         self._finalize(totals)
         return totals

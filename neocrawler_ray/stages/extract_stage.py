@@ -1,8 +1,9 @@
 """Extract stage — vectorized rule-engine transform + frontier feedback.
 
-:func:`extract_batch_task` (a worker-global :class:`ExtractBatch`
-singleton per run) runs inside each crawl wave's block task, right after
-the fetch-sim, and per Arrow batch of fetched pages:
+:class:`ExtractBatch` runs inside each crawl wave's block task, right
+after the fetch-sim (one instance per worker process, shared with the
+fetch-sim in the worker kernel of ``pipelines/crawl.py``), and per Arrow
+batch of fetched pages:
 
 1. decodes ``html`` per the rule's ``encoding`` (downloader.js:272-285
    charset handling, minus live headers);
@@ -23,8 +24,8 @@ the fetch-sim, and per Arrow batch of fetched pages:
 5. returns the extracted rows (no html bytes unless the rule keeps them —
    wide binary stays out of the frontier path, SURVEY.md §7.5).
 
-Rules are broadcast once (``ray.put`` ref resolved per worker, never
-shuffled — J1 broadcast-join semantics).
+Rules are broadcast once per rules version (a ``ray.put`` ref resolved
+once per worker, never shuffled — J1 broadcast-join semantics).
 """
 
 from __future__ import annotations
@@ -64,30 +65,6 @@ OUT_SCHEMA = pa.schema(
         ("nav_last", pa.bool_()),
     ]
 )
-
-
-_WORKER_EXTRACTORS: dict = {}
-
-
-def extract_batch_task(batch: pa.Table, *, run_token: str, rules_ref,
-                       settings, rules_version: int = 0,
-                       plugin=None) -> pa.Table:
-    """Task-mode extract: worker-global singleton per run (see
-    ``fetch.fetch_sim_batch`` for why tasks + a module cache beat a
-    per-wave actor pool here).  ``rules_ref`` is the broadcast rules
-    dict ``ObjectRef``; resolved once per worker process, and
-    re-resolved when ``rules_version`` bumps (T5 wave-boundary reload —
-    the driver re-broadcasts and passes a new version)."""
-    import ray
-
-    key = (run_token, rules_version)
-    inst = _WORKER_EXTRACTORS.get(key)
-    if inst is None:
-        rules = ray.get(rules_ref) if isinstance(rules_ref, ray.ObjectRef) else rules_ref
-        inst = ExtractBatch(rules, settings, [], plugin=plugin)
-        _WORKER_EXTRACTORS.clear()  # one run (and rules version) at a time
-        _WORKER_EXTRACTORS[key] = inst
-    return inst(batch)
 
 
 class ExtractBatch:

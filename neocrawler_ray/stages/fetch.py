@@ -1,11 +1,12 @@
-"""Fetch-sim stage — a ``map_batches`` stage with once-per-worker state.
+"""Fetch-sim stage — :class:`FetchSim`, a callable with per-process state.
 
 Replaces the reference's live HTTP downloader (reference:
 spider/downloader.js:128-267) with deterministic lookups into the
 host-partitioned pages corpus (SURVEY.md §2.4 J4): url → (html bytes,
-status).  Run task-mode via :func:`fetch_sim_batch` (worker-global
-singleton: setup once per worker process, surviving the whole wave
-loop) or as a plain callable class for rayless debug use.
+status).  A crawl's block tasks share one instance per worker process
+(the worker kernel in ``pipelines/crawl.py``, rebuilt when the job or
+its rules change), so its partition cache survives the whole wave loop;
+``pipelines/debug.py`` calls it directly, without Ray.
 
 Scale design: the corpus is laid out as ``pages/shard={md5(host)%P}``.
 In a crawl run each partition is loaded ONCE cluster-wide into the Ray
@@ -25,9 +26,9 @@ so a task touches 1-2 partitions.  Without Ray (debug mode) the stage
 falls back to direct parquet reads through the same hash-sort.
 
 Robots gating (north_rule capability; the reference has none): a
-``robots.txt`` per host is parsed once (driver-side, broadcast via
-``ray.put``) and urls under a disallowed prefix are marked
-``robots_blocked`` without a fetch.
+``robots.txt`` per host is parsed once per run (one Ray task at job
+start, its result ref shared by every worker) and urls under a
+disallowed prefix are marked ``robots_blocked`` without a fetch.
 
 Politeness budgets are enforced upstream at schedule time (per-host
 per-wave quota in the frontier shard — the deterministic wave-model
@@ -119,7 +120,7 @@ def apply_cookie_gate(body: bytes | None, cookie_header: str) -> bytes | None:
 
 def cookie_rules_map(rules: dict) -> dict[str, str]:
     """{urllib key: cookie header} for rules that declare cookies —
-    tiny, shipped to fetch workers like the browser/proxy maps."""
+    tiny, derived from the rules like the browser/proxy maps."""
     out: dict[str, str] = {}
     for domain, drillers in (rules or {}).items():
         for alias, r in (drillers or {}).items():
@@ -145,7 +146,7 @@ def browser_rules_map(rules: dict) -> dict[str, tuple[int, str | None]]:
     """{urllib key: (allowed navigate steps, script key)} for every
     ``jshandle`` rule — the downloader's dispatch table
     (downloader.js:113: ``if urlinfo['jshandle'] browseIt``), tiny and
-    shipped to fetch workers."""
+    built from the rules each fetch worker resolves."""
     out: dict[str, tuple[int, str | None]] = {}
     for domain, drillers in (rules or {}).items():
         for alias, r in (drillers or {}).items():
@@ -314,41 +315,6 @@ def load_partition_refs(corpus_dir: str, pages_shards: int) -> dict:
         if os.path.exists(path):
             refs[shard] = _load.remote(path)
     return refs
-
-
-_WORKER_FETCHERS: "OrderedDict[tuple, FetchSim]" = OrderedDict()
-
-
-def fetch_sim_batch(batch: pa.Table, *, run_token: str, corpus_dir: str,
-                    robots_map, pages_shards: int, partition_refs=None,
-                    plugin=None, browser_map=None, proxy_map=None,
-                    cookie_map=None, rules_version: int = 0) -> pa.Table:
-    """Task-mode fetch-sim: ``map_batches(fetch_sim_batch, fn_kwargs=...)``.
-
-    Ray reuses worker *processes* across tasks and across the wave loop's
-    datasets, so a module-global singleton gives the same once-per-worker
-    setup an actor pool would — without paying an actor-pool spawn per
-    wave (the wave loop creates a new Dataset every wave; actor pools
-    would be torn down and restarted each time).  ``robots_map`` is an
-    ``ray.ObjectRef`` (broadcast once via ``ray.put``); the pages
-    partition cache lives in the singleton and therefore persists for
-    the whole run."""
-    # keyed by run token, NOT just corpus: two runs over one corpus may
-    # carry different plugins; the cache must not leak across runs.
-    # rules_version is in the key so a T5 hot-reload that changes
-    # jshandle/navigate rules rebuilds the singleton (partition refs are
-    # object-store shared, so the rebuild is a cheap re-ray.get)
-    key = (run_token, corpus_dir, pages_shards, rules_version)
-    fs = _WORKER_FETCHERS.get(key)
-    if fs is None:
-        fs = FetchSim(corpus_dir, robots_map, pages_shards,
-                      partition_refs=partition_refs, plugin=plugin,
-                      browser_map=browser_map, proxy_map=proxy_map,
-                      cookie_map=cookie_map)
-        _WORKER_FETCHERS[key] = fs
-        while len(_WORKER_FETCHERS) > 2:  # bound worker memory across runs
-            _WORKER_FETCHERS.popitem(last=False)
-    return fs(batch)
 
 
 class FetchSim:

@@ -375,67 +375,6 @@ class FrontierShard:
     # ------------------------------------------------------------------
     # introspection / reports
     # ------------------------------------------------------------------
-    def spill_cold_state(self, now: int, keep_ms: int,
-                         spill_dir: str | None = None) -> int:
-        """10^10-frontier memory bound: evict per-URL state for quiescent
-        urls.
-
-        An entry is cold when its terminal state (``crawled_finish`` /
-        ``crawled_failure``) is older than ``keep_ms`` — i.e. every
-        policy decision the frontier could make for it (interval
-        recrawl, lock expiry; T2 constants) would be "re-admit" anyway.
-        Eviction is safe because a future re-discovery re-admits the url
-        through the brand-new-url path, which is exactly that decision;
-        nothing needs to remember the evicted url.  Evicted rows
-        optionally land in a per-shard Parquet spill for lineage.
-        Returns #evicted."""
-        import pyarrow as pa
-        import pyarrow.parquet as pq_
-        import os
-
-        # policy-equivalence guard: an entry is only droppable once EVERY
-        # decision the frontier could make for it is "re-admit" — so the
-        # effective keep window is clamped per entry to at least the
-        # rule's recrawl interval and the 2-day linksave hit lock (an
-        # early-evicted crawled_finish url re-discovered before its
-        # interval would otherwise recrawl via the brand-new-url path)
-        hit_lock = self.settings.linksave_hit_lock_ms
-        interval_cache: dict[str, int] = {}
-
-        def _keep_for(info: dict) -> int:
-            trace = info["trace"]
-            keep = interval_cache.get(trace)
-            if keep is None:
-                rule = self._rule_for_urllib(trace) or {}
-                keep = max(keep_ms,
-                           int(rule.get("schedule_interval", 3600)) * 1000,
-                           hit_lock)
-                interval_cache[trace] = keep
-            return keep
-
-        cold = [
-            kk for kk, info in self.url_info.items()
-            if info["status"] in ("crawled_finish", "crawled_failure")
-            and now - info["last"] >= _keep_for(info)
-        ]
-        if spill_dir and cold:
-            os.makedirs(spill_dir, exist_ok=True)
-            rows = [
-                {"url_md5": kk, "url": self.url_info[kk]["url"],
-                 "status": self.url_info[kk]["status"],
-                 "last": self.url_info[kk]["last"]}
-                for kk in cold
-            ]
-            pq_.write_table(
-                pa.Table.from_pylist(rows),
-                os.path.join(spill_dir,
-                             f"shard={self.shard_id}-spill-{now}.parquet"),
-            )
-        for kk in cold:
-            del self.url_info[kk]
-        self._bump("state_spilled", len(cold))
-        return len(cold)
-
     def stats(self) -> dict:
         return {
             "shard": self.shard_id,
@@ -617,12 +556,7 @@ class FrontierHost:
                 out[sid] = sh.restore(f.read())
         return out
 
-    # --- memory bound and end-of-run reports ---------------------------
-    def spill_cold_state(self, now: int, keep_ms: int,
-                         spill_dir: str | None = None) -> int:
-        return sum(sh.spill_cold_state(now, keep_ms, spill_dir)
-                   for sh in self.shards.values())
-
+    # --- end-of-run reports -------------------------------------------
     def write_seen(self, seen_dir: str) -> int:
         return sum(sh.write_seen(seen_dir) for sh in self.shards.values())
 

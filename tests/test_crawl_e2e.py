@@ -261,7 +261,7 @@ def test_resume_refuses_mismatched_state_format(corpus, fmt_ckpt, fmt):
 
 def test_manifest_names_each_wave_without_lag(corpus, tmp_path_factory,
                                               ray_session):
-    """A harvested commit means every shard renamed its checkpoint file
+    """A returned commit means every shard renamed its checkpoint file
     into place, so right after each wave the manifest names that wave
     and every shard's file for it exists."""
     import json
@@ -568,6 +568,76 @@ def test_retried_block_does_not_double_apply(corpus, tmp_path_factory,
     once = run(1)
     assert sum(c["links_saved"] for c in once[0]) > 0
     assert run(2) == once
+
+
+def test_worker_kernel_cache(ray_session, tmp_path, monkeypatch):
+    """Block tasks share one ``(FetchSim, ExtractBatch)`` pair per
+    wave-kwargs token: the same token returns the same pair, a new token
+    (a new job, or a rules reload) builds a new pair from its own
+    kwargs — plugin, rules and the dispatch maps derived from them —
+    and the cache keeps only that newest pair."""
+    import ray
+
+    from neocrawler_ray.pipelines import crawl
+    from neocrawler_ray.pipelines.plugins import ContentDedupSink
+
+    monkeypatch.setattr(crawl, "_KERNEL", {})
+
+    def kw(token, plugin, rules):
+        return {"token": token, "rules": ray.put(rules),
+                "settings": _settings(), "plugin": plugin,
+                "corpus_dir": str(tmp_path), "robots_map": {},
+                "pages_shards": 1, "partition_refs": {}, "hosts": [],
+                "num_shards": 1}
+
+    p1, p2 = ContentDedupSink(), ContentDedupSink()
+    r1 = {"a.example": {"list": {"jshandle": True}}}
+    r2 = {"b.example": {"list": {"use_proxy": True}}}
+    first = crawl._worker_kernel(kw("t1", p1, r1))
+    assert crawl._worker_kernel(kw("t1", p2, r2)) is first
+    fetch, extract = first
+    assert fetch.plugin is p1 and extract.plugin is p1
+    assert extract.rules == r1
+    assert fetch.browser_map == {"urllib:driller:a.example:list": (0, None)}
+
+    second = crawl._worker_kernel(kw("t2", p2, r2))
+    fetch, extract = second
+    assert second is not first
+    assert fetch.plugin is p2 and extract.plugin is p2
+    assert extract.rules == r2 and fetch.browser_map == {}
+    assert fetch.proxy_map == {"urllib:driller:b.example:list"}
+    assert list(crawl._KERNEL) == ["t2"]
+
+
+def test_checkpoint_write_crash_fails_fast(corpus, tmp_path_factory,
+                                           ray_session, engine_out):
+    """A shard's in-commit checkpoint failing between its temp write and
+    the rename (``shard=1/wave_2.pkl`` is a directory, so the host's
+    ``os.replace`` raises) makes ``run()`` raise with the manifest still
+    naming wave 1; once the obstacle is gone, a resume reproduces the
+    uninterrupted run's extracted/, schedule/ and url_seen/."""
+    import json
+    import os
+
+    import ray
+
+    from neocrawler_ray.pipelines.crawl import CrawlJob
+
+    out_full, _ = engine_out
+    out = str(tmp_path_factory.mktemp("ckpt_crash_out"))
+    blocker = os.path.join(out, "ckpt", "shard=1", "wave_2.pkl")
+    os.makedirs(blocker)
+    with pytest.raises(ray.exceptions.RayTaskError) as err:
+        CrawlJob(corpus, _settings(), out).run()
+    assert isinstance(err.value.cause, IsADirectoryError)
+    with open(os.path.join(out, "ckpt", "manifest.json")) as f:
+        assert json.load(f)["last_complete_wave"] == 1
+
+    os.rmdir(blocker)
+    job = CrawlJob(corpus, _settings(), out, resume=True)
+    assert job.start_wave == 2
+    job.run()
+    assert _signature(out) == _signature(out_full)
 
 
 # ------------------- several logical shards per host ---------------------

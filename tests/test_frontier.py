@@ -442,34 +442,3 @@ def test_snapshot_restore_roundtrip(ops, ct, lifo):
     assert all(set(info) == {"url", "trace", "referer", "last", "status",
                              "version", "drill_relation"}
                for info in shard.url_info.values())
-
-
-def test_spill_cold_state_keeps_membership(tmp_path):
-    from neocrawler_ray.functions.urls import url_md5
-
-    shard, s = mk_shard()
-    _save(shard, now=0)
-    kk = url_md5(LINK)
-    shard.url_info[kk]["status"] = "crawled_finish"
-    shard.url_info[kk]["last"] = 0
-    shard.queues[URLLIB].clear()  # simulate the url having been crawled
-
-    # too fresh → kept
-    assert shard.spill_cold_state(now=10, keep_ms=100) == 0
-    # keep_ms below the policy clamp (rule interval / 2-day hit lock):
-    # still kept — an early eviction would let a re-discovered
-    # crawled_finish url recrawl before its interval via the new-url path
-    assert shard.spill_cold_state(now=1000, keep_ms=100) == 0
-    # cold past the clamp → evicted from url_info
-    cold_now = s.linksave_hit_lock_ms + 1000
-    n = shard.spill_cold_state(now=cold_now, keep_ms=100,
-                               spill_dir=str(tmp_path))
-    assert n == 1 and kk not in shard.url_info
-    import glob
-
-    assert glob.glob(str(tmp_path / "shard=*-spill-*.parquet"))
-    # re-discovery re-admits through the brand-new-url path (policy for a
-    # long-expired crawled_finish url is "re-admit" either way)
-    assert shard._save_link(URLLIB, LINK, "http://ref/", "*",
-                            version=cold_now + 1000, now=cold_now + 1000)
-    assert shard.queue_len(URLLIB) == 1
