@@ -1,13 +1,16 @@
 """Crawl job — the wave loop tying scheduler, fetch-sim, extract and the
 frontier actor pool together (the new-engine lifecycle of SURVEY.md §3).
 
-The pool: ``num_frontier_shards`` (S) logical shards — the partition
-count that fixes url ownership, checkpoint files and per-shard
-metrics — run on ``H = min(S, cluster CPUs)`` :class:`FrontierHost`
-actors, shard ``sid`` on host ``sid % H``.  An actor process per shard
-cost a measured ≈1.9 s CPU and ≈122 MB each, and a process beyond the
-CPU count adds no parallelism; a host takes one call per step for all
-its shards.
+The pool: ``H = cluster CPUs`` :class:`CrawlHost` actors are the only
+processes that do crawl work.  They hold the ``num_frontier_shards``
+(S) logical shards — the partition count that fixes url ownership,
+checkpoint files and per-shard metrics — shard ``sid`` on host
+``sid % H``, and they also run the robots scan, the pages-partition
+loads and every block.  A crawl starts no task worker: on a host with
+fewer cores than Ray CPUs each worker process starts serially (≈1.5-3 s
+CPU and 70-185 MB each), so every process beyond the hosts used to add
+its start-up to the first waves.  Pops, commits and reports go to the
+hosts that hold shards.
 
 Each wave is one straight line — schedule → blocks → commit →
 manifest — and the driver joins each step before the next::
@@ -16,35 +19,34 @@ manifest — and the driver joins each step before the next::
       queued keys the previous commit reported, so only shards with
       work are called
       → blocks grouped by pages-shard (fetch locality), table put once
-      → raw task per block: fused fetch-sim + extract on the worker
-        kernel (one cached pair per worker process, see _worker_kernel)
-        → its own parquet part under wave=k/ (see _wave_block_write for
-        why this beats a per-wave Ray Data micro-pipeline — the
-        ~0.39 s/wave executor+sink fixed cost), then one keyed buffer
-        RPC per frontier host the block has feedback rows for
+      → block k on host k % H (CrawlHost.run_block): fused fetch-sim +
+        extract on the host's kernel → its own parquet part under
+        wave=k/, then the feedback rows, keyed, into this host's shards
+        and one unawaited buffer call per other host with rows
       → plugin sink (if any): the driver hands each written part to
         ``sink_batch`` in part order
       → commit barrier: commit_wave (deterministic order), one call per
-        host, run by Ray once the host's buffer RPCs (its arguments)
-        landed; the host checkpoints each logical shard inside the same
-        call and reports the rules with queued urls or retries
+        shard host, run by Ray once its peers' buffer calls (its
+        arguments) landed; the host checkpoints each logical shard
+        inside the same call and reports the rules with queued urls or
+        retries
       → manifest naming this wave
 
-The bulk analytics/corpus pipelines remain Ray Data end to end; only
-this iterative ~170-sub-second-task wave loop uses raw tasks, with or
-without a plugin (its ``download_batch``/``extract_batch`` hooks run
-inside the block tasks).
+The bulk analytics/corpus pipelines remain Ray Data end to end; this
+iterative loop of ~170 sub-second blocks per wave uses raw actor calls
+(see :meth:`CrawlHost.run_block`), with or without a plugin (its
+``download_batch``/``extract_batch`` hooks run inside the blocks).
 
 Link discovery rides the output table as a ``feedback_json`` column;
-each block task sends its rows, grouped per logical shard, to the hosts
-that own them, keyed ``(wave, block_lo)`` so a retried block overwrites
-its first delivery, and ``commit_wave`` applies them in deterministic
-seq order — making the parallel run order-equivalent to the
-reference's sequential scheduler+spider (parity target: schedule order
-+ URL-seen set, SURVEY.md §2.9).  Design notes measured via ``ds.stats()``/phase
+each block sends its rows, grouped per logical shard, to the hosts that
+own them, keyed ``(wave, block_lo)`` so a re-run block overwrites its
+first delivery, and ``commit_wave`` applies them in deterministic seq
+order — making the parallel run order-equivalent to the reference's
+sequential scheduler+spider (parity target: schedule order + URL-seen
+set, SURVEY.md §2.9).  Design notes measured via ``ds.stats()``/phase
 timers: per-wave actor pools, per-block frontier RPC barriers, and
 per-rule scheduler RPCs each dominated wall time at high CPU counts and
-were restructured away (the per-worker kernel, unawaited keyed
+were restructured away (the per-host kernel, unawaited keyed
 deliveries, queue-length schedule skip).
 
 Checkpoint/resume (north_rule): after every wave each logical shard
@@ -73,98 +75,110 @@ from ..config import CrawlSettings, RuleSet
 from ..functions.urls import url_host
 from ..sources.pages_gen import _host_shard
 from ..stages.extract_stage import ExtractBatch, route_feedback
-from ..stages.fetch import (FetchSim, browser_rules_map, build_robots_map,
-                            cookie_rules_map, load_partition_refs,
-                            proxy_rules_map)
+from ..stages.fetch import (FetchSim, _hash_sorted_pages, _read_pages_table,
+                            browser_rules_map, build_robots_map,
+                            cookie_rules_map, proxy_rules_map)
 from ..state.frontier import (STATE_FORMAT_VERSION, FrontierHost,
                               check_state_format, host_of)
 from .scheduler import run_schedule_wave
 
 
-# the worker kernel: {token: (FetchSim, ExtractBatch)} of the newest
-# wave kwargs this worker process has seen — one entry, so a worker
-# never holds a finished job's (or a superseded rules version's) caches
-_KERNEL: dict[str, tuple[FetchSim, ExtractBatch]] = {}
+class CrawlHost(FrontierHost):
+    """A :class:`FrontierHost` that also runs the crawl's work: the
+    robots scan, the pages-partition loads and every block's fused
+    fetch-sim + extract.  The engine's only Ray actor class, so a crawl
+    starts one worker process per host and no task worker — on a host
+    with fewer cores than Ray CPUs each worker start-up is serial, and
+    the blocks reuse the processes the frontier already paid for.
 
+    Per-job inputs arrive once: ``plugin`` at construction, the peers
+    and the robots/partition refs in :meth:`join`.  The
+    ``(FetchSim, ExtractBatch)`` kernel is built on the first block and
+    dropped by :meth:`update_rules`, so the pages-partition cache lives
+    for the whole wave loop."""
 
-def _worker_kernel(kw: dict) -> tuple[FetchSim, ExtractBatch]:
-    """This process's ``(FetchSim, ExtractBatch)`` pair for the wave
-    kwargs ``kw``, built on the first block task that carries
-    ``kw["token"]``.  Ray reuses worker processes across tasks, so the
-    pair — and the fetch-sim's pages-partition cache with it — lives for
-    the whole wave loop, the once-per-worker setup of an actor pool
-    without an actor per wave.  ``kw["rules"]`` is a nested ref resolved
-    here once per token; the browser, proxy and cookie dispatch maps
-    derive from those rules, so a rules reload (a new token) rebuilds
-    them with the pair."""
-    import ray
+    def __init__(self, index: int, sids: list[int], rules: dict,
+                 settings: CrawlSettings, corpus_dir: str,
+                 pages_shards: int, plugin=None):
+        super().__init__(sids, rules, settings)
+        self.index = index
+        self.rules, self.settings = rules, settings
+        self.corpus_dir, self.pages_shards = corpus_dir, pages_shards
+        self.plugin = plugin
+        self.peers: list = []
+        self.refs: dict = {"robots": {}, "pages": {}}
+        self.kernel: tuple[FetchSim, ExtractBatch] | None = None
 
-    pair = _KERNEL.get(kw["token"])
-    if pair is None:
-        rules = ray.get(kw["rules"])
-        pair = (FetchSim(kw["corpus_dir"], kw["robots_map"],
-                         kw["pages_shards"],
-                         partition_refs=kw["partition_refs"],
-                         plugin=kw["plugin"],
-                         browser_map=browser_rules_map(rules),
-                         proxy_map=proxy_rules_map(rules),
-                         cookie_map=cookie_rules_map(rules)),
-                ExtractBatch(rules, kw["settings"], [], plugin=kw["plugin"]))
-        _KERNEL.clear()
-        _KERNEL[kw["token"]] = pair
-    return pair
+    def load_pages(self, path: str) -> pa.Table:
+        """One pages partition, hash-sorted, as this call's result: one
+        shared object-store copy that every host's fetch maps
+        zero-copy."""
+        return _hash_sorted_pages(_read_pages_table(path))
 
+    def robots_map(self, corpus_dir: str) -> dict[str, list[str]]:
+        return build_robots_map(corpus_dir)
 
-def _wave_block_write(tbl, wave, lo, hi, part_path, kw):
-    """One scheduled-row range → fetch-sim → extract → its own parquet
-    part, written in-task (raw Ray task; registered lazily as a remote
-    below); the html bytes never leave the process.  This replaces a
-    per-wave Ray Data micro-pipeline: a fresh streaming executor +
-    parquet sink costs a measured ~0.39 s of fixed spin-up per execution
-    vs ~0.04 s for the equivalent raw-task fan-out (32 cpus, 170
-    blocks), and at ~1 s of useful work per wave that fixed cost was
-    ~3.1 s of pure overhead across the 9 sf0.1 bench waves.  Ray Data
-    stays the engine for every bulk scan in pipelines/* — an iterative
-    frontier loop dispatching ~170 sub-second tasks per wave is the
-    documented "Dataset API can't express it efficiently" exception.
-    ``tbl`` arrives as a top-level ObjectRef arg (auto-deref, zero-copy
-    from plasma); ``kw`` is the wave kwargs dict ``CrawlJob`` puts once
-    per job and once per rules reload (see :func:`_worker_kernel`).
-
-    The block delivers its own feedback: rows are grouped by logical
-    shard, then one unawaited ``buffer_results(wave, lo, {sid: rows})``
-    goes to each host with rows (a blocked ``ray.get`` would free this
-    task's CPU and let Ray start another worker).  A retry re-delivers
-    under the same key, which the host's shards overwrite.  Returns the
-    T7 breaker tallies and ``{host index: ack}``."""
-    fetch, extract = _worker_kernel(kw)
-    out = extract(fetch(tbl.slice(lo, hi - lo)))
-    pq.write_table(out, part_path)
-    hosts = kw["hosts"]
-    by_host: dict[int, dict[int, list]] = {}
-    for sid, rows in route_feedback(out, kw["num_shards"]).items():
-        by_host.setdefault(host_of(sid, len(hosts)), {})[sid] = rows
-    acks = {h: hosts[h].buffer_results.remote(wave, lo, rows)
-            for h, rows in by_host.items()}
-    # breaker tallies count ATTEMPTS (one per url per wave), so only the
-    # final navigation-round row of each url contributes
-    st = out.filter(out.column("nav_last")).column("final_state").to_pylist()
-    return {"fail": st.count("crawled_failure") + st.count("crawl_retry"),
-            "finish": st.count("crawled_finish")}, acks
-
-
-_wave_block_write_remote = None
-
-
-def _wave_task():
-    """Lazy ``@ray.remote`` registration so importing this module never
-    touches Ray (the driver contract: only session owners init Ray)."""
-    global _wave_block_write_remote
-    if _wave_block_write_remote is None:
+    def join(self, peers: list[str], refs: dict) -> None:
+        """Every host's actor name (``peers[h]`` is host ``h``) and
+        ``refs``, ``{"robots": robots ref, "pages": {pages shard: ref}}``
+        — nested in a dict, so the call does not wait for them.  A
+        handle looked up by name is weak: hosts holding each other's
+        handles would keep the pool alive after the job dropped its
+        own."""
         import ray
 
-        _wave_block_write_remote = ray.remote(_wave_block_write)
-    return _wave_block_write_remote
+        self.peers = [ray.get_actor(name) for name in peers]
+        self.refs = refs
+
+    def update_rules(self, rules: dict) -> None:
+        super().update_rules(rules)
+        # the browser, proxy and cookie maps derive from the rules
+        self.rules, self.kernel = rules, None
+
+    def _kernel(self) -> tuple[FetchSim, ExtractBatch]:
+        if self.kernel is None:
+            r = self.rules
+            self.kernel = (
+                FetchSim(self.corpus_dir, self.refs["robots"],
+                         self.pages_shards, plugin=self.plugin,
+                         partition_refs=self.refs["pages"],
+                         browser_map=browser_rules_map(r),
+                         proxy_map=proxy_rules_map(r),
+                         cookie_map=cookie_rules_map(r)),
+                ExtractBatch(r, self.settings, [], plugin=self.plugin))
+        return self.kernel
+
+    def run_block(self, tbl, wave: int, lo: int, hi: int, part_path: str):
+        """One scheduled-row range → fetch-sim → extract → its own
+        parquet part; the html bytes never leave the process.  A raw
+        block call replaces a per-wave Ray Data micro-pipeline: a fresh
+        streaming executor + parquet sink costs a measured ~0.39 s of
+        fixed spin-up per execution vs ~0.04 s for the equivalent raw
+        fan-out (32 cpus, 170 blocks).  ``tbl`` is the wave table (a
+        top-level ObjectRef argument, mapped zero-copy).
+
+        The block delivers its own feedback, grouped by logical shard
+        and keyed ``(wave, lo)`` so a re-run overwrites: this host's
+        shards buffer their rows in-process, every other host with rows
+        gets one unawaited ``buffer_results`` call (awaiting it could
+        deadlock two hosts running blocks).  Returns the T7 breaker
+        tallies and ``{host index: ack}``."""
+        fetch, extract = self._kernel()
+        out = extract(fetch(tbl.slice(lo, hi - lo)))
+        pq.write_table(out, part_path)
+        by_host: dict[int, dict[int, list]] = {}
+        for sid, rows in route_feedback(
+                out, self.settings.num_frontier_shards).items():
+            by_host.setdefault(host_of(sid, len(self.peers)), {})[sid] = rows
+        self.buffer_results(wave, lo, by_host.pop(self.index, {}))
+        acks = {h: self.peers[h].buffer_results.remote(wave, lo, rows)
+                for h, rows in by_host.items()}
+        # breaker tallies count ATTEMPTS (one per url per wave), so only
+        # the final navigation-round row of each url contributes
+        st = out.filter(out.column("nav_last")).column(
+            "final_state").to_pylist()
+        return {"fail": st.count("crawled_failure") + st.count("crawl_retry"),
+                "finish": st.count("crawled_finish")}, acks
 
 
 def hosts_vectorized(u_ser):
@@ -175,7 +189,7 @@ def hosts_vectorized(u_ser):
     (property-tested over arbitrary text).  Tabs and line breaks are
     stripped first, as urlsplit does.  ~5 µs/url as a python urlsplit
     loop, this was a measurable slice of the per-wave serial floor; the
-    resulting shard id only drives fetch locality (each fetch task
+    resulting shard id only drives fetch locality (each block
     re-derives every row's own pages shard), never results."""
     clean = u_ser.str.replace(r"[\t\r\n]", "", regex=True)
     hosts = clean.str.extract(
@@ -220,14 +234,14 @@ def _scheduled_to_table(scheduled: dict) -> pa.Table:
     )
 
 
-def _num_hosts(num_shards: int) -> int:
-    """H = min(S, cluster CPUs), read once per job: a host process
-    beyond the CPU count adds no parallelism, only its start-up and
-    memory."""
+def _num_hosts() -> int:
+    """H = cluster CPUs, read once per job (the test seam): every host
+    runs blocks, so fewer hosts would idle CPUs, and a host beyond the
+    CPU count adds no parallelism, only its start-up and memory."""
     import ray
 
-    return max(1, min(num_shards,
-                      int(ray.cluster_resources().get("CPU", 1))))
+    ray.get_runtime_context()  # starts Ray when the caller has not
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
 def _shard_handle(host, sid: int) -> SimpleNamespace:
@@ -256,38 +270,44 @@ class CrawlJob:
         self.total_rates = sum(e["rate"] for e in self.entries)
 
         S = settings.num_frontier_shards
-        # robots scan as a task, not ray.put(build_robots_map(...)): the
-        # url-filtered pages scan measured ~1 s driver-serial per run —
-        # as a task it overlaps host-actor startup and the first
-        # schedule wave (fetch kernels deref the result ref exactly as
-        # they deref a put ref).  As the job's first remote call it also
-        # starts Ray when the caller has not, before the CPU count read.
-        self.robots_ref = ray.remote(build_robots_map).remote(corpus_dir)
-        H = _num_hosts(S)
-        RemoteHost = ray.remote(FrontierHost)
+        H = _num_hosts()
+        pages_shards = self.corpus_meta.get("pages_shards", 16)
+        # spider_extend surface (SURVEY.md §2.10): assembly runs once on
+        # the driver (spider/index.js:43); batch hooks run in the blocks
+        self.plugin = plugin
+        if plugin is not None:
+            plugin.assembly({"corpus_dir": corpus_dir, "out_dir": out_dir})
+        RemoteHost = ray.remote(CrawlHost)
         # max_restarts=0 — FAIL FAST: a restarted host would re-run
         # __init__ with empty shards and the run would continue
         # "successfully" on silently-corrupted state (missing URLs, and
         # worse, the next commit would checkpoint EMPTY snapshots past
-        # the good ones).  Crash-recovery is the checkpoint/resume
-        # path's job (resume=True restores the last durable wave).
+        # the good ones); a failed block fails the run the same way.
+        # Crash-recovery is the checkpoint/resume path's job
+        # (resume=True restores the last durable wave).
+        names = [f"crawl-host-{uuid.uuid4().hex}" for _ in range(H)]
         self.hosts = [
-            RemoteHost.options(max_restarts=0).remote(
-                [sid for sid in range(S) if host_of(sid, H) == h],
-                self.rules, settings)
+            RemoteHost.options(name=names[h], max_restarts=0).remote(
+                h, [sid for sid in range(S) if host_of(sid, H) == h],
+                self.rules, settings, corpus_dir, pages_shards, plugin)
             for h in range(H)
         ]
+        # pops, commits and reports go to the hosts that hold shards
+        self.shard_hosts = self.hosts[:S]
         self.shards = [_shard_handle(self.hosts[host_of(sid, H)], sid)
                        for sid in range(S)]
-        self.partition_refs = load_partition_refs(
-            corpus_dir, self.corpus_meta.get("pages_shards", 16))
-
-        # spider_extend surface (SURVEY.md §2.10): assembly runs once on
-        # the driver (spider/index.js:43); batch hooks ride into the
-        # block tasks
-        self.plugin = plugin
-        if plugin is not None:
-            plugin.assembly({"corpus_dir": corpus_dir, "out_dir": out_dir})
+        # the robots scan and the pages loads are each host's first
+        # calls: a block's blocking ray.get of a peer's load never waits
+        # behind that peer's own blocks (one caller's calls run in order)
+        robots = self.hosts[0].robots_map.remote(corpus_dir)
+        pages = {}
+        for p in range(pages_shards):
+            path = os.path.join(corpus_dir, "pages", f"shard={p}",
+                                "part.parquet")
+            if os.path.exists(path):
+                pages[p] = self.hosts[p % H].load_pages.remote(path)
+        for h in self.hosts:
+            h.join.remote(names, {"robots": robots, "pages": pages})
 
         # each logical shard's queued_keys() as its last commit or
         # restore reported it: a fresh frontier has no queued url or retry
@@ -305,7 +325,6 @@ class CrawlJob:
         self._rules_sig = self._rules_signature()[0]
         # per-run host→pages-shard memo (few distinct hosts, md5-derived)
         self._host_shard_cache: dict[str, int] = {}
-        self._rebuild_wave_kw()
 
     # --- T5 rules hot-reload (wave-boundary re-expression of the
     #     reference's 120 s poll, scheduler/index.js:63-120) -------------
@@ -322,30 +341,6 @@ class CrawlJob:
                      hashlib.md5(blob).hexdigest()), blob)
         except OSError:
             return ((0, ""), None)
-
-    def _rebuild_wave_kw(self) -> None:
-        """One ``ray.put`` of the block tasks' wave kwargs, for a new job
-        and again on each rules hot-reload.  Each put mints a fresh
-        ``token`` — a uuid, not pid+id(): id() reuse after GC could hand
-        a new job the previous job's worker kernel.  Nested ObjectRefs
-        and actor handles survive the put; the rules ride as their own
-        ref, resolved once per worker kernel.  The plugin rides along,
-        so its ``download_batch``/``extract_batch`` hooks run in the
-        block tasks on a per-worker copy."""
-        import ray
-
-        self._wave_kw_ref = ray.put({
-            "token": uuid.uuid4().hex,
-            "rules": ray.put(self.rules),
-            "settings": self.settings,
-            "plugin": self.plugin,
-            "corpus_dir": self.corpus_dir,
-            "robots_map": self.robots_ref,
-            "pages_shards": self.corpus_meta.get("pages_shards", 16),
-            "partition_refs": self.partition_refs,
-            "hosts": self.hosts,
-            "num_shards": len(self.shards),
-        })
 
     def _maybe_reload_rules(self) -> bool:
         import ray
@@ -372,7 +367,6 @@ class CrawlJob:
             e["first_schedule"] = old_fs.get(e["key"], 0)
         self.total_rates = sum(e["rate"] for e in self.entries)
         ray.get([h.update_rules.remote(self.rules) for h in self.hosts])
-        self._rebuild_wave_kw()
         return True
 
     # --- checkpoint -----------------------------------------------------
@@ -415,7 +409,7 @@ class CrawlJob:
                 "ownership — resume with the original shard count")
         # each host opens its own shards' files, as its commits wrote them
         self._restoring = [h.restore.remote(self.ckpt_dir, wave)
-                           for h in self.hosts]
+                           for h in self.shard_hosts]
         for e in self.entries:
             e["first_schedule"] = manifest["first_schedule"].get(e["key"], 0)
         return wave + 1
@@ -461,9 +455,9 @@ class CrawlJob:
 
             # ---- the wave pipeline --------------------------------------
             # Blocks are built per PAGES-SHARD (url-host hash), so each
-            # fetch task reads exactly one co-partitioned pages file and
-            # worker-local partition caches stay hot — arbitrary chunking
-            # makes every worker page in every partition (measured: that
+            # block reads exactly one co-partitioned pages file and
+            # host-local partition caches stay hot — arbitrary chunking
+            # makes every host page in every partition (measured: that
             # inverts scaling at high CPU counts).  Large shard groups
             # split into batch-sized sub-blocks to keep full parallelism.
             n = sched_tbl.num_rows
@@ -485,7 +479,7 @@ class CrawlJob:
             order = np.argsort(shard_of, kind="stable")
             # shard-sorted rows are cut into ~batch-sized blocks; a cut
             # prefers a shard boundary once the block is half full, so a
-            # task reads 1-2 pages partitions and blocks stay big enough
+            # block reads 1-2 pages partitions and blocks stay big enough
             # to amortize the frontier-push barrier per block
             sorted_tbl = sched_tbl.take(order)
             shard_sorted = shard_of[order]
@@ -500,12 +494,12 @@ class CrawlJob:
                     j += 1
                 bounds.append((i, j))
                 i = j
-            # one broadcast of the wave table; each task slices its row
-            # range zero-copy.  ONE fused task (fetch-sim + extract) per
-            # block on the worker kernel: worker processes (and their
+            # one broadcast of the wave table; each block slices its row
+            # range zero-copy.  ONE fused call (fetch-sim + extract) per
+            # block, block k on host k % H: the host kernels (and their
             # pages-partition / compiled-rules caches) persist across
-            # waves, and fusing halves per-block task overhead — the html
-            # bytes never cross the object store between the stages
+            # waves, and the html bytes never cross the object store
+            # between the stages
             table_ref = ray.put(sorted_tbl)
             wave_path = os.path.join(self.out_dir, "extracted", f"wave={wave}")
             # a crash-resume (or rerun into the same out_dir) re-executes
@@ -515,16 +509,18 @@ class CrawlJob:
             os.makedirs(wave_path, exist_ok=True)
             parts = [os.path.join(wave_path, f"part-{k:05d}.parquet")
                      for k in range(len(bounds))]
-            task = _wave_task()
+            H = len(self.hosts)
             block_futs = [
-                task.remote(table_ref, wave, lo, hi, part, self._wave_kw_ref)
-                for (lo, hi), part in zip(bounds, parts)
+                self.hosts[k % H].run_block.remote(table_ref, wave, lo, hi,
+                                                   part)
+                for k, ((lo, hi), part) in enumerate(zip(bounds, parts))
             ]
             # the driver receives tallies and ack refs, never feedback
-            # rows; each host's acks become its commit's arguments
+            # rows; each host's acks from its peers become its commit's
+            # arguments, and its own blocks' rows are buffered already
             done = ray.get(block_futs)
             acks = [[a[h] for _c, a in done if h in a]
-                    for h in range(len(self.hosts))]
+                    for h in range(len(self.shard_hosts))]
             if self.plugin is not None:
                 # pipeline.js:573-575 sink hook, driver-side per wave, in
                 # part order (deterministic across runs)
@@ -542,7 +538,7 @@ class CrawlJob:
             do_ckpt = (wave + 1) % s.checkpoint_every == 0
             commits = [host.commit_wave_and_checkpoint.remote(
                 version, self.ckpt_dir, wave, do_ckpt, *acks[h])
-                for h, host in enumerate(self.hosts)]
+                for h, host in enumerate(self.shard_hosts)]
             for by_sid in ray.get(commits):
                 for sid, (c, q) in by_sid.items():
                     self._queued[sid] = q
@@ -596,9 +592,10 @@ class CrawlJob:
         seen_dir = os.path.join(self.out_dir, "url_seen")
         shutil.rmtree(seen_dir, ignore_errors=True)
         os.makedirs(seen_dir, exist_ok=True)
-        ray.get([h.write_seen.remote(seen_dir) for h in self.hosts])
+        ray.get([h.write_seen.remote(seen_dir) for h in self.shard_hosts])
         by_sid = {sid: st for got in ray.get(
-            [h.stats.remote() for h in self.hosts]) for sid, st in got.items()}
+            [h.stats.remote() for h in self.shard_hosts])
+            for sid, st in got.items()}
         stats = [by_sid[sid] for sid in sorted(by_sid)]
         with open(os.path.join(self.out_dir, "metrics.json"), "w") as f:
             json.dump({"totals": totals, "shards": stats}, f, indent=1, default=str)

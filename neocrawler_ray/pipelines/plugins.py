@@ -14,10 +14,10 @@ duck-typed contract over batches:
 | ``pipeline(extracted_info,cb)``| ``sink_batch(table)`` per wave, driver |
 | ``*_alert`` metric taps        | ``alert(event, payload)``              |
 
-``download_batch`` / ``extract_batch`` run INSIDE the crawl's block
-tasks (the plugin object rides in the once-per-run task kwargs and each
-worker process keeps its own copy, so hook state is per-worker,
-mirroring the reference's per-spider plugin instance); ``assembly``
+``download_batch`` / ``extract_batch`` run INSIDE the crawl's blocks
+(each frontier host process gets its own copy of the plugin object
+once per run, so hook state is per-host, mirroring the reference's
+per-spider plugin instance); ``assembly``
 runs on the driver once per run, and ``sink_batch`` on the driver once
 per written wave part, in part order, followed by one
 ``crawl_finish_alert``.  Returning ``None`` from ``download_batch``

@@ -1,9 +1,9 @@
 """Extract stage — vectorized rule-engine transform + frontier feedback.
 
-:class:`ExtractBatch` runs inside each crawl wave's block task, right
-after the fetch-sim (one instance per worker process, shared with the
-fetch-sim in the worker kernel of ``pipelines/crawl.py``), and per Arrow
-batch of fetched pages:
+:class:`ExtractBatch` runs inside each crawl wave's blocks, right
+after the fetch-sim (one instance per frontier host process, paired
+with the fetch-sim in the host kernel of ``pipelines/crawl.py``), and
+per Arrow batch of fetched pages:
 
 1. decodes ``html`` per the rule's ``encoding`` (downloader.js:272-285
    charset handling, minus live headers);
@@ -15,17 +15,17 @@ batch of fetched pages:
    (extractor.js:180-294) via the pure functions in
    :mod:`neocrawler_ray.functions.extract`;
 4. emits discovered links as a ``feedback_json`` column riding the
-   output table — the block task groups them per owning logical
-   frontier shard (``md5(tld) % S``) with :func:`route_feedback` and
-   sends each frontier host with rows one keyed ``buffer_results`` call
-   it does not wait on (a blocking per-block fan-out to all shards was
+   output table — the block groups them per owning logical frontier
+   shard (``md5(tld) % S``) with :func:`route_feedback`, buffers its own
+   host's rows in-process and sends each other host with rows one keyed
+   ``buffer_results`` call it does not wait on (a blocking per-block fan-out to all shards was
    measured to dominate at 32 CPUs × 16 shards); the wave's commit
    takes the acks as arguments (SURVEY.md §2.1 S10 feedback loop);
 5. returns the extracted rows (no html bytes unless the rule keeps them —
    wide binary stays out of the frontier path, SURVEY.md §7.5).
 
-Rules are broadcast once per rules version (a ``ray.put`` ref resolved
-once per worker, never shuffled — J1 broadcast-join semantics).
+Rules reach each host once per rules version (at construction and in
+``update_rules``, never shuffled — J1 broadcast-join semantics).
 """
 
 from __future__ import annotations
@@ -216,9 +216,9 @@ FEEDBACK_COLUMNS = ["seq", "url", "urllib", "domain", "final_state",
 def route_feedback(table: pa.Table, num_shards: int) -> dict[int, list[tuple]]:
     """Wave output table → per-logical-shard seq-tagged buffer rows
     (links + final-state transitions), grouped by ``num_shards`` — the
-    logical count, never the host count.  In a crawl each block task
-    calls it on its own output and sends each host its shards' rows in
-    one ``buffer_results`` RPC; only shards with rows appear."""
+    logical count, never the host count.  In a crawl each block calls
+    it on its own output and hands each host its shards' rows in one
+    ``buffer_results`` call; only shards with rows appear."""
     shard_buffers: dict[int, list[tuple]] = {}
     cols = {c: table.column(c).to_pylist() for c in FEEDBACK_COLUMNS}
     # host/domain shard ids are md5-derived — memoize (few distinct hosts

@@ -3,18 +3,18 @@
 Replaces the reference's live HTTP downloader (reference:
 spider/downloader.js:128-267) with deterministic lookups into the
 host-partitioned pages corpus (SURVEY.md §2.4 J4): url → (html bytes,
-status).  A crawl's block tasks share one instance per worker process
-(the worker kernel in ``pipelines/crawl.py``, rebuilt when the job or
-its rules change), so its partition cache survives the whole wave loop;
+status).  A crawl's blocks share one instance per frontier host process
+(the host kernel in ``pipelines/crawl.py``, rebuilt when the rules
+change), so its partition cache survives the whole wave loop;
 ``pipelines/debug.py`` calls it directly, without Ray.
 
 Scale design: the corpus is laid out as ``pages/shard={md5(host)%P}``.
 In a crawl run each partition is loaded ONCE cluster-wide into the Ray
-object store (parallel read tasks at job start, ``url`` + ``html``
-columns only, sorted by a ``url_hash`` uint64 column at load) and every
-fetch task maps it zero-copy via ``ray.get`` — workers share the node's
-single copy instead of each parsing parquet into private heap dicts
-(the private-cache design measurably inverted CPU scaling: 32 workers ×
+object store (``CrawlHost.load_pages`` calls spread over the hosts at
+job start, fetchable columns only, sorted by a ``url_hash`` uint64
+column at load) and every host's fetch maps it zero-copy via
+``ray.get`` — hosts share the node's single copy instead of each
+parsing parquet into private heap dicts (the private-cache design measurably inverted CPU scaling: 32 workers ×
 cold partition loads dominated the wave).  Lookups binary-search the
 shared hash-sorted column — per worker there is NO index construction
 at all (round 2 built a ``{url: row}`` Python dict per worker per
@@ -22,13 +22,14 @@ partition: O(partition) heap + rebuild CPU, the fetch stage's
 scale-killer at 100-TB partitions); the html bytes stay in shared
 memory.  At 100 TB the same layout holds — the object store spills cold
 partitions to disk and the scheduled blocks are grouped by pages-shard
-so a task touches 1-2 partitions.  Without Ray (debug mode) the stage
+so a block touches 1-2 partitions.  Without Ray (debug mode) the stage
 falls back to direct parquet reads through the same hash-sort.
 
 Robots gating (north_rule capability; the reference has none): a
-``robots.txt`` per host is parsed once per run (one Ray task at job
-start, its result ref shared by every worker) and urls under a
-disallowed prefix are marked ``robots_blocked`` without a fetch.
+``robots.txt`` per host is parsed once per run (one
+``CrawlHost.robots_map`` call at job start, its result ref shared by
+every host) and urls under a disallowed prefix are marked
+``robots_blocked`` without a fetch.
 
 Politeness budgets are enforced upstream at schedule time (per-host
 per-wave quota in the frontier shard — the deterministic wave-model
@@ -296,25 +297,6 @@ def _hash_sorted_pages(tbl: pa.Table) -> pa.Table:
         dtype=np.uint64, count=len(urls))
     tbl = tbl.append_column("url_hash", pa.array(h, pa.uint64()))
     return tbl.sort_by("url_hash").combine_chunks()
-
-
-def load_partition_refs(corpus_dir: str, pages_shards: int) -> dict:
-    """Read every pages partition into the object store in parallel —
-    one shared immutable copy per cluster (node), hash-sorted at load,
-    mapped zero-copy by every fetch task."""
-    import ray
-
-    @ray.remote
-    def _load(path: str):
-        return _hash_sorted_pages(_read_pages_table(path))
-
-    refs = {}
-    for shard in range(pages_shards):
-        path = os.path.join(corpus_dir, "pages", f"shard={shard}",
-                            "part.parquet")
-        if os.path.exists(path):
-            refs[shard] = _load.remote(path)
-    return refs
 
 
 class FetchSim:

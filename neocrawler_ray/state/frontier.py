@@ -22,8 +22,8 @@ reference's Redis-backed state machine:
 - FIFO/LIFO pops per rule's ``schedule_rule`` (scheduler/index.js:219-247).
 
 Plain Python classes: :class:`FrontierHost` holds several logical shards
-in one process and is what the crawl pipeline wraps via ``ray.remote``;
-both are unit-testable directly.  All timestamps are logical
+in one process; the crawl pipeline's ``CrawlHost`` actor extends it,
+and the oracle drives it locally; both are unit-testable directly.  All timestamps are logical
 epoch-millis supplied by the caller (the wave clock) — never wall clock
 — so runs are deterministic and resumable.
 """
@@ -275,7 +275,7 @@ class FrontierShard:
     def buffer_results(self, wave: int, block_lo: int,
                        rows: list[tuple]) -> int:
         """Buffer one block's per-page wave results for this shard, keyed
-        ``(wave, block_lo)``: a re-delivered block (a retried block task)
+        ``(wave, block_lo)``: a re-delivered block (a block run again)
         replaces its earlier rows instead of adding a second copy.
 
         Row: ``(seq, kind, payload)`` where kind is:
@@ -294,7 +294,7 @@ class FrontierShard:
 
     def stale_keys(self, wave: int) -> list[tuple[int, int]]:
         """Buffer keys of any other wave than ``wave``: rows a late
-        delivery (a dead block-task attempt) left behind."""
+        delivery (a block of a wave never committed) left behind."""
         return sorted(k for k in self._buffer if k[0] != wave)
 
     def commit_wave(self, now: int) -> dict:
@@ -444,8 +444,8 @@ def host_of(sid: int, num_hosts: int) -> int:
 
 
 class FrontierHost:
-    """The logical shards ``sids`` in one process: the unit the crawl
-    pipeline runs as a Ray actor.  ``num_frontier_shards`` stays the
+    """The logical shards ``sids`` in one process: the frontier half of
+    the crawl pipeline's ``CrawlHost`` actor.  ``num_frontier_shards`` stays the
     logical partition count (url ownership, checkpoint files, url-seen
     files, per-shard metrics); a host only saves the per-process cost
     of an actor per shard, and turns what would be one call per shard
@@ -517,8 +517,8 @@ class FrontierHost:
         queued_keys())}`` — the next scheduler round plans from the
         second.  ``_acks``: this wave's ``buffer_results`` refs, passed
         so Ray runs the commit after every delivery.  Rows buffered
-        under another wave (a late delivery from a dead block-task
-        attempt) raise before any shard applies anything."""
+        under another wave (a late delivery from a block of a
+        wave never committed) raise before any shard applies anything."""
         import os
 
         stale = {sid: ks for sid, sh in self.shards.items()

@@ -530,15 +530,14 @@ def test_block_wait_leaves_feedback_remote(corpus, tmp_path_factory,
 
 def test_retried_block_does_not_double_apply(corpus, tmp_path_factory,
                                              ray_session):
-    """A block task retried after it delivered its feedback: the real
-    ``_wave_block_write`` run twice on one block against live host
-    actors commits the same counts and shard stats as one run, because
-    the shards key each delivery by ``(wave, block_lo)``."""
+    """A block run twice after it delivered its feedback: the real
+    ``CrawlHost.run_block`` called twice on one block on a live host
+    commits the same counts and shard stats as one call, because the
+    shards key each delivery by ``(wave, block_lo)`` — the local rows
+    and the peer deliveries alike."""
     import ray
 
-    from neocrawler_ray.pipelines.crawl import (CrawlJob,
-                                                _scheduled_to_table,
-                                                _wave_task)
+    from neocrawler_ray.pipelines.crawl import CrawlJob, _scheduled_to_table
     from neocrawler_ray.pipelines.scheduler import run_schedule_wave
 
     s = _settings(num_frontier_shards=2)
@@ -551,16 +550,16 @@ def test_retried_block_does_not_double_apply(corpus, tmp_path_factory,
         tbl = ray.put(_scheduled_to_table(sched))
         n = len(sched["url"])
         for _ in range(attempts):
-            # an earlier attempt's deliveries landed; the driver only
-            # sees the acks of the attempt that returned
-            _tally, acks = ray.get(_wave_task().remote(
-                tbl, 0, 0, n, f"{out}/part-00000.parquet", job._wave_kw_ref))
+            # an earlier call's deliveries landed; the driver only sees
+            # the acks of the call that returned
+            _tally, acks = ray.get(job.hosts[0].run_block.remote(
+                tbl, 0, 0, n, f"{out}/part-00000.parquet"))
             ray.get(list(acks.values()))
         commits = ray.get([
             host.commit_wave_and_checkpoint.remote(
                 s.wave_version(0), job.ckpt_dir, 0, False,
                 *([acks[h]] if h in acks else []))
-            for h, host in enumerate(job.hosts)])
+            for h, host in enumerate(job.shard_hosts)])
         return ([by_sid[sid][0] for by_sid in commits
                  for sid in sorted(by_sid)],
                 ray.get([sh.stats.remote() for sh in job.shards]))
@@ -570,43 +569,84 @@ def test_retried_block_does_not_double_apply(corpus, tmp_path_factory,
     assert run(2) == once
 
 
-def test_worker_kernel_cache(ray_session, tmp_path, monkeypatch):
-    """Block tasks share one ``(FetchSim, ExtractBatch)`` pair per
-    wave-kwargs token: the same token returns the same pair, a new token
-    (a new job, or a rules reload) builds a new pair from its own
-    kwargs — plugin, rules and the dispatch maps derived from them —
-    and the cache keeps only that newest pair."""
-    import ray
-
-    from neocrawler_ray.pipelines import crawl
+def test_host_kernel(tmp_path):
+    """A host builds its ``(FetchSim, ExtractBatch)`` kernel once and
+    reuses it across blocks; ``update_rules`` rebuilds it with the new
+    rules' browser, proxy and cookie maps and keeps the plugin (a local
+    ``CrawlHost``, no Ray)."""
+    from neocrawler_ray.pipelines.crawl import CrawlHost
     from neocrawler_ray.pipelines.plugins import ContentDedupSink
 
-    monkeypatch.setattr(crawl, "_KERNEL", {})
-
-    def kw(token, plugin, rules):
-        return {"token": token, "rules": ray.put(rules),
-                "settings": _settings(), "plugin": plugin,
-                "corpus_dir": str(tmp_path), "robots_map": {},
-                "pages_shards": 1, "partition_refs": {}, "hosts": [],
-                "num_shards": 1}
-
-    p1, p2 = ContentDedupSink(), ContentDedupSink()
+    plugin = ContentDedupSink()
     r1 = {"a.example": {"list": {"jshandle": True}}}
-    r2 = {"b.example": {"list": {"use_proxy": True}}}
-    first = crawl._worker_kernel(kw("t1", p1, r1))
-    assert crawl._worker_kernel(kw("t1", p2, r2)) is first
+    r2 = {"b.example": {"list": {"use_proxy": True,
+                                 "cookie": [{"name": "k", "value": "v"}]}}}
+    host = CrawlHost(0, [0], r1, _settings(), str(tmp_path), 1, plugin)
+    first = host._kernel()
+    assert host._kernel() is first
     fetch, extract = first
-    assert fetch.plugin is p1 and extract.plugin is p1
+    assert fetch.plugin is plugin and extract.plugin is plugin
     assert extract.rules == r1
     assert fetch.browser_map == {"urllib:driller:a.example:list": (0, None)}
+    assert fetch.proxy_map == frozenset() and fetch.cookie_map == {}
 
-    second = crawl._worker_kernel(kw("t2", p2, r2))
+    host.update_rules(r2)
+    second = host._kernel()
+    assert second is not first and host._kernel() is second
     fetch, extract = second
-    assert second is not first
-    assert fetch.plugin is p2 and extract.plugin is p2
+    assert fetch.plugin is plugin and extract.plugin is plugin
     assert extract.rules == r2 and fetch.browser_map == {}
     assert fetch.proxy_map == {"urllib:driller:b.example:list"}
-    assert list(crawl._KERNEL) == ["t2"]
+    assert fetch.cookie_map == {"urllib:driller:b.example:list": "k=v"}
+
+
+def test_failed_block_fails_fast(corpus, tmp_path_factory, ray_session,
+                                 engine_out):
+    """A block that raises in wave 2 (a plugin ``extract_batch`` failing
+    once, while a marker file exists) makes ``run()`` raise — the marker
+    goes with the failure, so a retried block would have succeeded —
+    with the manifest still naming wave 1 and no wave-2 snapshot; a
+    resume then reproduces the uninterrupted run's extracted/,
+    schedule/ and url_seen/."""
+    import json
+    import os
+
+    import ray
+
+    from neocrawler_ray.pipelines.crawl import CrawlJob
+    from neocrawler_ray.pipelines.plugins import PipelinePlugin
+
+    out_full, _ = engine_out
+    out = str(tmp_path_factory.mktemp("block_crash_out"))
+    marker = os.path.join(out, "fail_wave_2")
+    open(marker, "w").close()
+
+    class FailWave2(PipelinePlugin):  # local class: pickled by value
+        def extract_batch(self, batch):
+            if os.path.exists(marker) and 2 in batch.column("wave").to_pylist():
+                try:
+                    os.remove(marker)
+                except FileNotFoundError:  # another block failed first
+                    pass
+                raise RuntimeError("block failed in wave 2")
+            return batch
+
+    with pytest.raises(ray.exceptions.RayTaskError) as err:
+        CrawlJob(corpus, _settings(), out, plugin=FailWave2()).run()
+    assert "block failed in wave 2" in str(err.value)
+    ckpt = os.path.join(out, "ckpt")
+    with open(os.path.join(ckpt, "manifest.json")) as f:
+        assert json.load(f)["last_complete_wave"] == 1
+    assert not any(os.path.exists(os.path.join(ckpt, f"shard={i}",
+                                               "wave_2.pkl"))
+                   for i in range(_settings().num_frontier_shards))
+
+    assert not os.path.exists(marker)
+    job = CrawlJob(corpus, _settings(), out, resume=True,
+                   plugin=FailWave2())
+    assert job.start_wave == 2
+    job.run()
+    assert _signature(out) == _signature(out_full)
 
 
 def test_checkpoint_write_crash_fails_fast(corpus, tmp_path_factory,
@@ -658,7 +698,7 @@ def test_two_shards_per_host_parity(corpus, tmp_path_factory, ray_session,
 
     from neocrawler_ray.pipelines import crawl
 
-    monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 2)
+    monkeypatch.setattr(crawl, "_num_hosts", lambda: 2)
     out = str(tmp_path_factory.mktemp("two_per_host_out"))
     job = crawl.CrawlJob(corpus, _settings(), out)
     assert len(job.hosts) == 2 and len(job.shards) == 4
@@ -689,9 +729,9 @@ def test_resume_under_another_host_count(corpus, tmp_path_factory,
 
     out_full, _ = engine_out
     out = str(tmp_path_factory.mktemp("rehost_out"))
-    monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 2)
+    monkeypatch.setattr(crawl, "_num_hosts", lambda: 2)
     crawl.CrawlJob(corpus, _settings(), out).run(max_waves=3)
-    monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 4)
+    monkeypatch.setattr(crawl, "_num_hosts", lambda: 4)
     job = crawl.CrawlJob(corpus, _settings(), out, resume=True)
     assert job.start_wave == 3 and len(job.hosts) == 4
     job.run()
@@ -744,7 +784,7 @@ def test_dead_host_fails_fast(corpus, tmp_path_factory, ray_session,
 
     out_full, _ = engine_out
     out = str(tmp_path_factory.mktemp("dead_host_out"))
-    monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 4)
+    monkeypatch.setattr(crawl, "_num_hosts", lambda: 4)
     job = crawl.CrawlJob(corpus, _settings(), out)
     real_get = ray.get
     block_waits = []
@@ -780,7 +820,7 @@ def test_dead_host_fails_fast(corpus, tmp_path_factory, ray_session,
     with open(os.path.join(out, "ckpt", "manifest.json")) as f:
         assert json.load(f)["last_complete_wave"] == 0
 
-    monkeypatch.setattr(crawl, "_num_hosts", lambda num_shards: 2)
+    monkeypatch.setattr(crawl, "_num_hosts", lambda: 2)
     resumed = crawl.CrawlJob(corpus, _settings(), out, resume=True)
     assert resumed.start_wave == 1 and len(resumed.hosts) == 2
     resumed.run()

@@ -1,7 +1,12 @@
-"""Guard: the crawl engine is configured only through ``CrawlSettings``
-and its constructor arguments.  No module of the engine may read the
-process environment, so a run's behaviour never depends on a hidden
-switch (such as an environment-gated profiler)."""
+"""Guards on the crawl engine's source.
+
+- It is configured only through ``CrawlSettings`` and its constructor
+  arguments: no module of the engine may read the process environment,
+  so a run's behaviour never depends on a hidden switch (such as an
+  environment-gated profiler).
+- Its only Ray remote is the ``CrawlHost`` actor class: no function
+  becomes a Ray task, so a crawl starts no task-worker process beside
+  the hosts."""
 
 import ast
 from pathlib import Path
@@ -46,3 +51,42 @@ def test_crawl_engine_reads_no_environment():
     hits = {str(p.relative_to(PKG)): env_reads(p.read_text())
             for p in ENGINE}
     assert {k: v for k, v in hits.items() if v} == {}
+
+
+def _is_ray_remote(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "remote"
+            and isinstance(node.value, ast.Name) and node.value.id == "ray")
+
+
+def remote_wraps(source: str) -> list[int]:
+    """Line numbers of every bare ``@ray.remote`` on a ``def`` and every
+    ``ray.remote(...)`` call but ``ray.remote(CrawlHost)`` (which also
+    covers ``@ray.remote(**opts)`` and ``ray.remote(**opts)(f)``)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines += [d.lineno for d in node.decorator_list
+                      if _is_ray_remote(d)]
+        elif (isinstance(node, ast.Call) and _is_ray_remote(node.func)
+              and not (len(node.args) == 1 and not node.keywords
+                       and getattr(node.args[0], "id", None)
+                       == "CrawlHost")):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_remote_wraps_detector():
+    assert remote_wraps("import ray\n@ray.remote\ndef f(): pass\n") == [2]
+    assert remote_wraps(
+        "import ray\n@ray.remote(num_cpus=1)\ndef f(): pass\n") == [2]
+    assert remote_wraps("import ray\ng = ray.remote(f)\n") == [2]
+    assert remote_wraps("import ray\ng = ray.remote(num_cpus=0)(f)\n") == [2]
+    assert remote_wraps("import ray\nA = ray.remote(CrawlHost)\n") == []
+    assert remote_wraps("import ray\nray.get(h.f.remote())\n") == []
+
+
+def test_crawl_engine_remote_is_only_crawl_host():
+    hits = {str(p.relative_to(PKG)): remote_wraps(p.read_text())
+            for p in ENGINE}
+    assert {k: v for k, v in hits.items() if v} == {}
+    assert "ray.remote(CrawlHost)" in ENGINE[0].read_text()
