@@ -1,16 +1,30 @@
-"""Minimal DOM + CSS-selector engine on the Python stdlib.
+"""Minimal flat DOM + CSS-selector engine on the Python stdlib.
 
 The execution environment ships no HTML parser (no lxml / bs4 /
-selectolax), so the extract stage carries its own small DOM built on
-``html.parser``.  Semantics follow what the reference's cheerio usage
-actually exercises (reference: spider/extractor.js:316-367 —
-``cssSelector`` / ``cssSelectorPicker``):
+selectolax), so the extract stage carries its own.  Semantics follow
+what the reference's cheerio usage actually exercises (reference:
+spider/extractor.js:316-367 — ``cssSelector`` / ``cssSelectorPicker``):
 
 - ``find(expr)`` returns matched elements in document order;
 - ``text()`` is the concatenation of all descendant text nodes in document
   order with no added separators (cheerio ``.text()``);
 - ``html()`` is the inner-HTML serialization;
 - ``attr(name)`` returns the attribute or ``None``.
+
+Layout: a parsed page is one :class:`_Doc` of parallel lists filled by a
+single tokenizer pass, not a tree of per-node objects.  Element ``i``
+(``0`` is the synthetic ``#root``) has ``names[i]``, ``parents[i]``,
+``ends[i]`` (one past its last descendant), ``attrs[i]`` (a dict, or
+``None`` for a tag without attributes) and the text-chunk span
+``texts[tstarts[i]:tends[i]]``.  Elements and text chunks are numbered
+in document order, so an element's descendants are the index range
+``(i, ends[i])`` and its text is one contiguous slice of ``texts``.
+``index`` maps each tag name, ``#id`` and ``.class`` to the ascending
+element indexes that carry it.  :func:`css_find` has one path: the
+candidates of a group's last compound come from ``index``, clipped to
+the context element's descendant range, and are matched by
+``_Compiled``/``_Simple`` over indexes.  :class:`Element` views are made
+only for the root and for the elements a selector returns.
 
 Selector grammar supported (cheerio parity for the selector forms real
 neocrawler instance configs use — reference instance/*/*.json rules):
@@ -30,128 +44,126 @@ byte-identical extracted-text parity invariant (BASELINE.json input_hint).
 from __future__ import annotations
 
 import re
-from html.parser import HTMLParser
+from bisect import bisect_left
+from html import unescape
+from typing import NamedTuple
 
 VOID_ELEMENTS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
 
 
-class Node:
-    __slots__ = ("name", "attrs", "children", "parent", "pos")
+class _Doc(NamedTuple):
+    """The parallel lists of one parsed page (see the module docstring)."""
 
-    def __init__(self, name: str, attrs: list[tuple[str, str | None]] | None = None):
-        self.name = name
-        self.attrs: dict[str, str] = {k: (v if v is not None else "") for k, v in (attrs or [])}
-        self.children: list[object] = []  # Node | str (text)
-        self.parent: Node | None = None
-        self.pos = 0  # document order (set by the tree builders)
+    names: list[str]
+    parents: list[int]
+    ends: list[int]
+    attrs: list[dict[str, str] | None]
+    tstarts: list[int]
+    tends: list[int]
+    texts: list[str]
+    index: dict[str, list[int]]
 
-    # --- element API (cheerio-ish) -------------------------------------
+
+def _child_elements(doc: _Doc, p: int) -> list[int]:
+    ends = doc.ends
+    out = []
+    j, e = p + 1, ends[p]
+    while j < e:
+        out.append(j)
+        j = ends[j]
+    return out
+
+
+def _siblings(doc: _Doc, i: int) -> list[int]:
+    p = doc.parents[i]
+    return [i] if p < 0 else _child_elements(doc, p)
+
+
+class Element:
+    """A view of element ``i`` of a parsed page (cheerio-ish API)."""
+
+    __slots__ = ("doc", "i")
+
+    def __init__(self, doc: _Doc, i: int):
+        self.doc = doc
+        self.i = i
+
+    @property
+    def name(self) -> str:
+        return self.doc.names[self.i]
+
+    @property
+    def attrs(self) -> dict[str, str]:
+        return self.doc.attrs[self.i] or {}
+
     def attr(self, name: str) -> str | None:
-        return self.attrs.get(name)
+        a = self.doc.attrs[self.i]
+        return None if a is None else a.get(name)
 
     def text(self) -> str:
-        out: list[str] = []
-        stack: list[object] = list(reversed(self.children))
-        while stack:
-            n = stack.pop()
-            if isinstance(n, str):
-                out.append(n)
-            else:
-                stack.extend(reversed(n.children))
-        return "".join(out)
+        d = self.doc
+        return "".join(d.texts[d.tstarts[self.i]:d.tends[self.i]])
 
     def html(self) -> str:
-        return "".join(_serialize(c) for c in self.children)
+        """Inner HTML: the descendants' tags interleaved with their text
+        chunks, each element closed once its subtree range ends."""
+        d, i = self.doc, self.i
+        names, ends, attrs, texts = d.names, d.ends, d.attrs, d.texts
+        tstarts, tends = d.tstarts, d.tends
+        out: list[str] = []
+        t = tstarts[i]
+        open_: list[int] = []
+        for j in range(i + 1, ends[i] + 1):
+            while open_ and ends[open_[-1]] <= j:
+                c = open_.pop()
+                out += texts[t:tends[c]]
+                t = tends[c]
+                out.append(f"</{names[c]}>")
+            if j == ends[i]:
+                break
+            out += texts[t:tstarts[j]]
+            t = tstarts[j]
+            name, a = names[j], attrs[j]
+            if a is None:
+                out.append(f"<{name}>")
+            else:
+                out.append(f"<{name}"
+                           + "".join(f' {k}="{v}"' for k, v in a.items())
+                           + ">")
+            if name not in VOID_ELEMENTS:
+                open_.append(j)
+        out += texts[t:tends[i]]
+        return "".join(out)
 
-    def outer_html(self) -> str:
-        return _serialize(self)
+    @property
+    def children(self) -> list["Element"]:
+        """Direct child elements (text chunks are not elements)."""
+        d = self.doc
+        return [Element(d, j) for j in _child_elements(d, self.i)]
 
-    # --- traversal -----------------------------------------------------
+    @property
+    def parent(self) -> "Element | None":
+        p = self.doc.parents[self.i]
+        return None if p < 0 else Element(self.doc, p)
+
     def iter_descendants(self):
-        stack: list[Node] = [c for c in reversed(self.children) if isinstance(c, Node)]
-        while stack:
-            n = stack.pop()
-            yield n
-            stack.extend(c for c in reversed(n.children) if isinstance(c, Node))
+        d = self.doc
+        for j in range(self.i + 1, d.ends[self.i]):
+            yield Element(d, j)
 
-    def classes(self) -> list[str]:
-        return self.attrs.get("class", "").split()
-
-    def find(self, expression: str) -> list["Node"]:
+    def find(self, expression: str) -> list["Element"]:
         return css_find(self, expression)
 
-    def __repr__(self):  # pragma: no cover - debug aid
-        return f"<Node {self.name} {self.attrs}>"
 
-
-class Document(Node):
-    """Root node of a fast-parsed tree; carries the per-tag candidate
-    index used by :func:`css_find`'s document-level fast path."""
-
-    __slots__ = ("tag_index",)
-
-
-def _serialize(n) -> str:
-    if isinstance(n, str):
-        return n
-    attrs = "".join(f' {k}="{v}"' for k, v in n.attrs.items())
-    if n.name in VOID_ELEMENTS:
-        return f"<{n.name}{attrs}>"
-    return f"<{n.name}{attrs}>{n.html()}</{n.name}>"
-
-
-class _TreeBuilder(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.root = Node("#root")
-        self.stack = [self.root]
-        self._pos = 0
-
-    def handle_starttag(self, tag, attrs):
-        node = Node(tag, attrs)
-        self._pos += 1
-        node.pos = self._pos
-        node.parent = self.stack[-1]
-        self.stack[-1].children.append(node)
-        if tag not in VOID_ELEMENTS:
-            self.stack.append(node)
-
-    def handle_startendtag(self, tag, attrs):
-        node = Node(tag, attrs)
-        self._pos += 1
-        node.pos = self._pos
-        node.parent = self.stack[-1]
-        self.stack[-1].children.append(node)
-
-    def handle_endtag(self, tag):
-        for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].name == tag:
-                del self.stack[i:]
-                break
-
-    def handle_data(self, data):
-        if data:
-            self.stack[-1].children.append(data)
-
-
-def parse_html_stdlib(content: str) -> Node:
-    """html.parser-based tree builder (the reference semantics; the fast
-    tokenizer below is equivalence-tested against this)."""
-    tb = _TreeBuilder()
-    tb.feed(content)
-    tb.close()
-    return tb.root
-
-
-# Fast tree builder: one compiled-regex tokenizer pass instead of
-# html.parser's char-by-char goahead loop (measured ~2.7× on the
-# element-rich bench pages).  Matches html.parser(convert_charrefs=True)
+# One compiled-regex tokenizer pass instead of html.parser's
+# char-by-char goahead loop.  Matches html.parser(convert_charrefs=True)
 # behavior for standard markup: lowercased tag/attr names, charref
 # unescaping in data and attribute values, script/style CDATA content,
 # comments/doctype/PIs skipped, void + self-closing elements, orphan
-# end-tags popping to the nearest matching ancestor.
+# end-tags popping to the nearest matching ancestor.  A bare '<' that
+# opens no construct stays in its surrounding text chunk.
 _TAG_RE = re.compile(
     r"<!--.*?(?:-->|$)"              # comment
     r"|<!\[CDATA\[.*?(?:\]\]>|$)"    # cdata (dropped, as html.parser unknown decl)
@@ -173,64 +185,74 @@ _RAWTEXT_CLOSE = {
 }
 
 
-def parse_html(content: str) -> Node:
-    """Parse an HTML string into a tree; returns the synthetic ``#root``.
-
-    Uses the regex tokenizer; the tree also carries a per-tag index on
-    the root for fast selector candidate lookup."""
-    from html import unescape
-
-    root = Document("#root")
-    stack = [root]
-    index: dict[str, list[Node]] = {"*": []}
-    all_nodes = index["*"]
-    pos = 0
+def parse_html(content: str) -> Element:
+    """Parse an HTML string into a flat :class:`_Doc`; returns the view
+    of its synthetic ``#root``."""
+    names = ["#root"]
+    parents = [-1]
+    ends = [0]
+    attrs: list[dict[str, str] | None] = [None]
+    tstarts = [0]
+    tends = [0]
+    texts: list[str] = []
+    index: dict[str, list[int]] = {}
+    stack = [0]  # open elements
+    add_name, add_parent, add_end = names.append, parents.append, ends.append
+    add_attrs, add_tstart, add_tend = attrs.append, tstarts.append, tends.append
+    add_text = texts.append
+    search, attr_findall = _TAG_RE.search, _ATTR_RE.findall
     i = 0
     n = len(content)
-    while i < n:
-        lt = content.find("<", i)
-        if lt < 0:
-            lt = n
+    while True:
+        m = search(content, i)
+        lt = n if m is None else m.start()
         if lt > i:
             data = content[i:lt]
             if "&" in data:
                 data = unescape(data)
-            stack[-1].children.append(data)
-        if lt >= n:
-            break
-        m = _TAG_RE.match(content, lt)
+            add_text(data)
         if m is None:
-            # bare '<' that opens no construct: literal text
-            stack[-1].children.append("<")
-            i = lt + 1
-            continue
-        end_name, start_name, attr_text, self_close = m.group(1, 2, 3, 4)
+            break
         i = m.end()
+        end_name, start_name, attr_text, self_close = m.groups()
         if start_name is not None:
             tag = start_name.lower()
-            attrs = []
+            k = len(names)
+            add_name(tag)
+            add_parent(stack[-1])
+            add_tstart(len(texts))
+            keys = index.get(tag)
+            if keys is None:
+                index[tag] = [k]
+            else:
+                keys.append(k)
             if attr_text:
-                for k, v in _ATTR_RE.findall(attr_text):
+                a = {}
+                for key, v in attr_findall(attr_text):
                     if v:
                         if v[0] in "\"'" and v[-1] == v[0] and len(v) > 1:
                             v = v[1:-1]
                         if "&" in v:
                             v = unescape(v)
-                    attrs.append((k.lower(), v))
-            node = Node(tag, attrs)
-            pos += 1
-            node.pos = pos
-            node.parent = stack[-1]
-            stack[-1].children.append(node)
-            index.setdefault(tag, []).append(node)
-            all_nodes.append(node)
-            _id = node.attrs.get("id")
-            if _id:
-                index.setdefault("#" + _id, []).append(node)
-            _cls = node.attrs.get("class")
-            if _cls:
-                for c in _cls.split():
-                    index.setdefault("." + c, []).append(node)
+                    a[key.lower()] = v
+                add_attrs(a)
+                _id = a.get("id")
+                if _id:
+                    keys = index.get("#" + _id)
+                    if keys is None:
+                        index["#" + _id] = [k]
+                    else:
+                        keys.append(k)
+                _cls = a.get("class")
+                if _cls:
+                    for c in _cls.split():
+                        keys = index.get("." + c)
+                        if keys is None:
+                            index["." + c] = [k]
+                        elif keys[-1] != k:  # class="a a" lists k once
+                            keys.append(k)
+            else:
+                add_attrs(None)
             if tag in _RAWTEXT_CLOSE and not self_close:
                 # CDATA content: no nested tags, no charref conversion
                 # in script/style (html.parser parity); title/textarea
@@ -240,19 +262,40 @@ def parse_html(content: str) -> Node:
                 if raw:
                     if tag in ("title", "textarea") and "&" in raw:
                         raw = unescape(raw)
-                    node.children.append(raw)
+                    add_text(raw)
                 i = closer.end() if closer else n
-            elif tag not in VOID_ELEMENTS and not self_close:
-                stack.append(node)
+                add_end(k + 1)
+                add_tend(len(texts))
+            elif self_close or tag in VOID_ELEMENTS:
+                add_end(k + 1)
+                add_tend(len(texts))
+            else:
+                add_end(0)  # set when the element closes
+                add_tend(0)
+                stack.append(k)
         elif end_name is not None:
             tag = end_name.lower()
-            for k in range(len(stack) - 1, 0, -1):
-                if stack[k].name == tag:
-                    del stack[k:]
+            top = stack[-1]
+            if names[top] == tag:  # well-formed close ("#root" never is)
+                stack.pop()
+                ends[top] = len(names)
+                tends[top] = len(texts)
+                continue
+            for d in range(len(stack) - 1, 0, -1):
+                if names[stack[d]] == tag:
+                    ne, nt = len(names), len(texts)
+                    for e in stack[d:]:
+                        ends[e] = ne
+                        tends[e] = nt
+                    del stack[d:]
                     break
         # else: comment/doctype/PI — skipped
-    root.tag_index = index
-    return root
+    ne, nt = len(names), len(texts)
+    for e in stack:
+        ends[e] = ne
+        tends[e] = nt
+    return Element(
+        _Doc(names, parents, ends, attrs, tstarts, tends, texts, index), 0)
 
 
 # --------------------------------------------------------------------------
@@ -298,14 +341,9 @@ def _nth_matches(a: int, b: int, idx: int) -> bool:
     return rem == 0 and n >= 0
 
 
-def _elem_siblings(node: Node) -> list[Node]:
-    if node.parent is None:
-        return [node]
-    return [c for c in node.parent.children if isinstance(c, Node)]
-
-
 class _Simple:
-    __slots__ = ("tag", "ids", "classes", "attrs", "nths", "set_pseudos")
+    __slots__ = ("tag", "ids", "classes", "attrs", "nths", "set_pseudos",
+                 "index_keys")
 
     def __init__(self, token: str):
         m = _SIMPLE_RE.match(token)
@@ -348,24 +386,32 @@ class _Simple:
                     self.attrs.append((k.strip(), v.strip().strip("\"'")))
                 else:
                     self.attrs.append((body.strip(), None))
+        # the _Doc.index keys a match must carry (candidate lists)
+        self.index_keys = ([f"#{i}" for i in self.ids]
+                           + [f".{c}" for c in self.classes]
+                           + ([self.tag] if self.tag else []))
 
-    def matches(self, node: Node) -> bool:
-        if self.tag is not None and node.name != self.tag:
+    def matches(self, doc: _Doc, i: int) -> bool:
+        if self.tag is not None and doc.names[i] != self.tag:
             return False
-        if self.ids and any(node.attrs.get("id") != i for i in self.ids):
-            return False
-        if self.classes:
-            cls = set(node.classes())
-            if any(c not in cls for c in self.classes):
+        if self.ids or self.classes or self.attrs:
+            a = doc.attrs[i]
+            if a is None:
                 return False
-        for k, v in self.attrs:
-            if k not in node.attrs:
+            if any(a.get("id") != x for x in self.ids):
                 return False
-            if v is not None and node.attrs[k] != v:
-                return False
+            if self.classes:
+                cls = a.get("class", "").split()
+                if any(c not in cls for c in self.classes):
+                    return False
+            for k, v in self.attrs:
+                if k not in a:
+                    return False
+                if v is not None and a[k] != v:
+                    return False
         if self.nths:
-            sibs = _elem_siblings(node)
-            idx = sibs.index(node) + 1  # 1-based, elements only (CSS)
+            sibs = _siblings(doc, i)
+            idx = sibs.index(i) + 1  # 1-based, elements only (CSS)
             for a, b in self.nths:
                 if a is None:  # :last-child sentinel
                     if idx != len(sibs):
@@ -373,6 +419,20 @@ class _Simple:
                 elif not _nth_matches(a, b, idx):
                     return False
         return True
+
+    def candidates(self, doc: _Doc, lo: int, hi: int):
+        """Ascending element indexes in ``[lo, hi)`` that can match: the
+        shortest index list among the compound's tag/#id/.class keys."""
+        best = None
+        for key in self.index_keys:
+            keys = doc.index.get(key)
+            if keys is None:
+                return ()
+            if best is None or len(keys) < len(best):
+                best = keys
+        if best is None:
+            return range(lo, hi)
+        return best[bisect_left(best, lo):bisect_left(best, hi)]
 
 
 class _Compiled:
@@ -405,30 +465,31 @@ class _Compiled:
                     "supported on the final compound of a selector")
         self.set_pseudos = self.steps[-1][1].set_pseudos if self.steps else []
 
-    def match_from(self, node: Node) -> bool:
-        """Does ``node`` match the full chain ending at the last step?"""
-        return self._match(node, len(self.steps) - 1)
+    def match_from(self, doc: _Doc, i: int) -> bool:
+        """Does element ``i`` match the full chain ending at the last step?"""
+        return self._match(doc, i, len(self.steps) - 1)
 
-    def _match(self, node: Node, i: int) -> bool:
-        comb, simple = self.steps[i]
-        if not simple.matches(node):
+    def _match(self, doc: _Doc, i: int, k: int) -> bool:
+        comb, simple = self.steps[k]
+        if not simple.matches(doc, i):
             return False
-        if i == 0:
+        if k == 0:
             return True
-        prev_comb = comb  # combinator between step i-1 and i
-        if prev_comb in ("+", "~"):
-            sibs = _elem_siblings(node)
-            pos = sibs.index(node)
-            if prev_comb == "+":
-                return pos > 0 and self._match(sibs[pos - 1], i - 1)
-            return any(self._match(s, i - 1) for s in sibs[:pos])
-        anc = node.parent
-        if prev_comb == ">":
-            return anc is not None and anc.name != "#root" and self._match(anc, i - 1)
-        while anc is not None and anc.name != "#root":
-            if self._match(anc, i - 1):
+        # comb joins step k-1 to step k; ancestors stop below #root (0)
+        if comb in ("+", "~"):
+            sibs = _siblings(doc, i)
+            pos = sibs.index(i)
+            if comb == "+":
+                return pos > 0 and self._match(doc, sibs[pos - 1], k - 1)
+            return any(self._match(doc, s, k - 1) for s in sibs[:pos])
+        parents = doc.parents
+        anc = parents[i]
+        if comb == ">":
+            return anc > 0 and self._match(doc, anc, k - 1)
+        while anc > 0:
+            if self._match(doc, anc, k - 1):
                 return True
-            anc = anc.parent
+            anc = parents[anc]
         return False
 
 
@@ -443,75 +504,35 @@ def compile_selector(expression: str) -> list[_Compiled]:
     return cached
 
 
-def _apply_set_pseudos(g: _Compiled, nodes: list[Node]) -> list[Node]:
+def _apply_set_pseudos(g: _Compiled, hits: list[int]) -> list[int]:
     """jQuery result-set pseudos (:first/:last/:eq) slice one group's
     matched set (document order preserved)."""
     for kind, arg in g.set_pseudos:
         if kind == "first":
-            nodes = nodes[:1]
+            hits = hits[:1]
         elif kind == "last":
-            nodes = nodes[-1:]
+            hits = hits[-1:]
         else:  # eq — arg+1 of -1 is 0, which would slice to []; jQuery
             # counts negatives from the end, so open-end the slice there
-            nodes = (nodes[arg:arg + 1 or None]
-                     if -len(nodes) <= arg < len(nodes) else [])
-    return nodes
+            hits = (hits[arg:arg + 1 or None]
+                    if -len(hits) <= arg < len(hits) else [])
+    return hits
 
 
-def css_find(root: Node, expression: str) -> list[Node]:
-    """All descendants of ``root`` matching ``expression``, document order."""
-    groups = compile_selector(expression)
+def css_find(el: Element, expression: str) -> list[Element]:
+    """All descendants of ``el`` matching ``expression``, document order.
 
-    # document-level fast path: candidates come from the root's per-tag
-    # index (built during the tokenizer pass) instead of a full walk —
-    # a selector ending in a tag touches only that tag's nodes
-    idx = getattr(root, "tag_index", None)
-    if idx is not None:
-        per: list[list[Node]] = []
-        for g in groups:
-            last = g.steps[-1][1]
-            if last.tag:
-                key = last.tag
-            elif last.ids:
-                key = "#" + last.ids[0]
-            elif last.classes:
-                key = "." + last.classes[0]
-            else:
-                key = "*"
-            cand = idx.get(key, [])
-            nodes = [nd for nd in cand if g.match_from(nd)]
-            if g.set_pseudos:
-                nodes = _apply_set_pseudos(g, nodes)
-            per.append(nodes)
-        if len(per) == 1:
-            return per[0]
-        seen: set[int] = set()
-        out: list[Node] = []
-        for nd in sorted((nd for nodes in per for nd in nodes),
-                         key=lambda x: x.pos):
-            if id(nd) not in seen:
-                seen.add(id(nd))
-                out.append(nd)
-        return out
-
-    # subtree walk (element-level find / stdlib-built trees)
-    out = []
-    has_set = any(g.set_pseudos for g in groups)
-    per_group: dict[int, list[Node]] = {id(g): [] for g in groups}
-    for node in root.iter_descendants():
-        hit = False
-        for g in groups:
-            if g.match_from(node):
-                if not hit:
-                    out.append(node)
-                    hit = True
-                if not has_set:
-                    break
-                per_group[id(g)].append(node)
-    if has_set:
-        keep: set[int] = set()
-        for g in groups:
-            keep.update(
-                id(n) for n in _apply_set_pseudos(g, per_group[id(g)]))
-        out = [n for n in out if id(n) in keep]
-    return out
+    Combinators look at ancestors and siblings across the whole page,
+    not only inside ``el`` (jQuery ``.find`` semantics)."""
+    doc = el.doc
+    lo, hi = el.i + 1, doc.ends[el.i]
+    per: list[list[int]] = []
+    for g in compile_selector(expression):
+        match = g.match_from
+        hits = [j for j in g.steps[-1][1].candidates(doc, lo, hi)
+                if match(doc, j)]
+        if g.set_pseudos:
+            hits = _apply_set_pseudos(g, hits)
+        per.append(hits)
+    hits = per[0] if len(per) == 1 else sorted(set().union(*per))
+    return [Element(doc, j) for j in hits]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .dom import Node, parse_html
+from .dom import Element, parse_html
 from .urls import array_unique, detect_link, transform_link, wash_link
 
 __all__ = [
@@ -45,7 +45,7 @@ def _compiled(expression: str) -> re.Pattern:
     return pat
 
 
-def _pick(node: Node | None, pick: str):
+def _pick(node: Element | None, pick: str):
     """cssSelectorPicker (extractor.js:347-367)."""
     if node is None:
         return None
@@ -64,7 +64,7 @@ def _pick(node: Node | None, pick: str):
     return result
 
 
-def css_selector(dom: Node, expression: str, pick, index=1):
+def css_selector(dom: Element, expression: str, pick, index=1):
     """cssSelector (extractor.js:316-340).
 
     ``pick`` falsy → return the raw matched element list (subset mode).
@@ -99,7 +99,7 @@ def regex_selector(content: str, expression: str, index):
     return [m.group(1) for m in pat.finditer(content)]
 
 
-def extract_link(dom: Node, drill_rules: list[str]) -> list[str | None]:
+def extract_link(dom: Element, drill_rules: list[str]) -> list[str | None]:
     """Collect hrefs (``src`` for ``img``) for each drill-rule CSS selector.
 
     Parity: extractor.js:31-40.
@@ -129,7 +129,7 @@ def arrange_link(links: list[str], driller_rules: dict) -> dict[str, list[str]]:
     return {k: array_unique(v) for k, v in linkobj.items()}
 
 
-def extract_data(url: str, content: str, extract_rule: dict, upper_data, dom: Node):
+def extract_data(url: str, content: str, extract_rule: dict, upper_data, dom: Element):
     """Recursive field extraction (extractor.js:215-294).
 
     Returns ``(data, lacks)`` — ``data`` is the nested extracted dict,
@@ -181,7 +181,7 @@ def extract_data(url: str, content: str, extract_rule: dict, upper_data, dom: No
     return data, lacks
 
 
-def get_drill_relation(dom: Node, url: str, content: str, origin_relation, rule) -> str:
+def get_drill_relation(dom: Element, url: str, content: str, origin_relation, rule) -> str:
     """Breadcrumb chain ``origin->value`` (extractor.js:151-173)."""
     if not origin_relation:
         origin_relation = "*"

@@ -49,7 +49,7 @@ def render_wireframe(html: bytes | str, width: int = WIDTH,
                      max_rows: int = 64) -> list[bytearray]:
     """DOM wireframe raster of an html document → list of scanlines
     (bytearrays, 8-bit grayscale).  Deterministic: layout depends only
-    on the parsed tree (element order, depth, tag, text length)."""
+    on the parsed elements (order, depth, tag, text length)."""
     from .dom import parse_html
 
     if isinstance(html, bytes):
@@ -65,9 +65,7 @@ def render_wireframe(html: bytes | str, width: int = WIDTH,
 
     def walk(node, depth: int) -> None:
         for child in node.children:
-            if not hasattr(child, "name"):
-                continue
-            name = child.name.lower()
+            name = child.name
             if name in _SKIP_TAGS:
                 continue
             if name in _BLOCK_TAGS:

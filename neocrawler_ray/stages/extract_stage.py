@@ -70,12 +70,11 @@ OUT_SCHEMA = pa.schema(
 class ExtractBatch:
     def __init__(self, rules: dict, settings, frontier_shards: list,
                  push_to_frontier: bool = True, plugin=None):
+        # frontier_shards and push_to_frontier are unused: blocks deliver
+        # their own feedback; perfbench's kernel replay still passes them
         self.plugin = plugin
         self.rules = rules
         self.settings = settings
-        self.shards = frontier_shards
-        self.num_shards = len(frontier_shards)
-        self.push = push_to_frontier and self.num_shards > 0
 
     def _rule(self, urllib_key: str) -> dict | None:
         from ..functions.urls import parse_urllib_key

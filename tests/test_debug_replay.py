@@ -225,6 +225,33 @@ def test_raster_wireframe_deterministic_and_distinct(tmp_path):
     assert w > 0 and h > 0
 
 
+def test_raster_wireframe_golden_on_generated_corpus(tmp_path):
+    """Every page of a small generated corpus renders the same scanlines
+    as the tree-walking renderer this golden digest was recorded from."""
+    import hashlib
+
+    import pyarrow.dataset as pads
+
+    from neocrawler_ray.functions.extract import decode_body
+    from neocrawler_ray.functions.raster import render_wireframe
+
+    out = str(tmp_path / "c")
+    generate_corpus(out, n_pages=120, n_domains=3, seed=9)
+    tbl = pads.dataset(out + "/pages").to_table(columns=["url", "html"])
+    digest, n = hashlib.sha256(), 0
+    for _url, html in sorted(zip(tbl.column("url").to_pylist(),
+                                 tbl.column("html").to_pylist())):
+        if html:
+            rows = render_wireframe(decode_body(html, {}))
+            digest.update(b"%d|" % len(rows))
+            for row in rows:
+                digest.update(bytes(row))
+            n += 1
+    assert n == 88
+    assert digest.hexdigest() == (
+        "1cba3c16b68d72d9fd2ae1266dec937cc56ba3b0563b969065e6639c23bbaaf0")
+
+
 def test_debug_browser_screenshots_per_round(tmp_path_factory, tmp_path):
     """S11 test mode parity for browser rules: one screenshot + rendered
     html PER DRILL ROUND (page_test_action,

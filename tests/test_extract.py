@@ -272,20 +272,22 @@ def test_css_unsupported_pseudo_raises():
         DOM.find("li:hover")
 
 
-# --- fast tokenizer parser ≡ html.parser builder --------------------------
-def _tree_eq(a, b, path="root"):
-    if isinstance(a, str) or isinstance(b, str):
-        assert a == b, (path, repr(a)[:60], repr(b)[:60])
-        return
-    assert a.name == b.name, path
-    assert a.attrs == b.attrs, (path, a.attrs, b.attrs)
-    assert len(a.children) == len(b.children), (path, a.name)
-    for i, (ca, cb) in enumerate(zip(a.children, b.children)):
-        _tree_eq(ca, cb, f"{path}/{a.name}[{i}]")
+# --- flat DOM ≡ html.parser-built reference tree -------------------------
+def _dom_eq(flat, ref):
+    """Element by element in document order: name, attrs, text(), html()
+    (text-chunk boundaries are not compared: only their concatenation
+    is observable)."""
+    assert flat.text() == ref.text()
+    assert flat.html() == ref.html()
+    got, want = list(flat.iter_descendants()), list(ref.iter_descendants())
+    assert len(got) == len(want)  # perfbench's kernel.nodes_per_page
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert (a.name, a.attrs, a.text(), a.html()) == (
+            b.name, b.attrs, b.text(), b.html()), (k, b.name)
 
 
 def test_fast_parser_equivalent_to_stdlib():
-    from neocrawler_ray.functions.dom import parse_html, parse_html_stdlib
+    from dom_reference import parse_html_stdlib
 
     cases = [
         HTML,
@@ -306,11 +308,11 @@ def test_fast_parser_equivalent_to_stdlib():
         '<div>漢字 &copy; ünïcode</div>',
     ]
     for c in cases:
-        _tree_eq(parse_html(c), parse_html_stdlib(c))
+        _dom_eq(parse_html(c), parse_html_stdlib(c))
 
 
 def test_fast_parser_equivalent_on_generated_corpus(tmp_path):
-    from neocrawler_ray.functions.dom import parse_html, parse_html_stdlib
+    from dom_reference import parse_html_stdlib
     from neocrawler_ray.sources.pages_gen import generate_corpus
     import pyarrow.dataset as pads
 
@@ -323,7 +325,7 @@ def test_fast_parser_equivalent_on_generated_corpus(tmp_path):
     for h in tbl.column("html").to_pylist():
         if h:
             s = decode_body(h, {})  # gunzip transfer-encoded domain 1
-            _tree_eq(parse_html(s), parse_html_stdlib(s))
+            _dom_eq(parse_html(s), parse_html_stdlib(s))
             n += 1
     assert n > 80
 
@@ -341,3 +343,36 @@ def test_decode_body():
     # corrupt member after the magic bytes → raw charset decode, no raise
     corrupt = b"\x1f\x8bnot really gzip"
     assert decode_body(corrupt, {}) == corrupt.decode("utf-8", "replace")
+
+
+def test_extract_leaves_no_cyclic_garbage(tmp_path):
+    """The flat DOM holds no parent/child reference cycles: once a heavy
+    detail page's parse and extract results are dropped, reference
+    counting has freed everything and the cyclic GC finds nothing."""
+    import gc
+    import json
+
+    import pyarrow.dataset as pads
+
+    from neocrawler_ray.functions.extract import decode_body
+    from neocrawler_ray.functions.urls import detect_link
+    from neocrawler_ray.sources.pages_gen import generate_corpus
+
+    out = str(tmp_path / "heavy")
+    generate_corpus(out, n_pages=30, n_domains=1, seed=3, page_weight=12)
+    with open(out + "/rules.json") as f:
+        rules = json.load(f)
+    tbl = pads.dataset(out + "/pages").to_table(columns=["url", "html"])
+    url, html = next((u, h) for u, h in sorted(zip(
+        tbl.column("url").to_pylist(), tbl.column("html").to_pylist()))
+        if detect_link(u, rules)[0] == "driller:site0.example:detail")
+    content = decode_body(html, {})
+    rule = detect_link(url, rules)[1]
+
+    gc.collect()
+    dom = parse_html(content)
+    assert sum(1 for _ in dom.iter_descendants()) > 150  # a heavy page
+    result = extract_page(url, content, rule, "*", True, rules)
+    assert result[2]["title"] and result[2]["specs"]
+    del dom, result
+    assert gc.collect() == 0

@@ -149,6 +149,90 @@ def test_nth_child_an_b_matches_bruteforce(a, b, idx):
     assert _nth_matches(a, b, idx) == brute
 
 
+# random markup over the tokenizer's edge cases: bare '<', entities next
+# to '<', raw-text elements, unclosed, uppercase and orphan end tags,
+# uppercase names, void and self-closing tags, repeated classes
+_html_attrs = st.lists(st.sampled_from([
+    ' class="a"', ' class="b a"', " class='a a c'", ' id="x"', " ID=y",
+    ' href="/u?a=1&amp;b=2"', " data-k", ' data-v="1"', " HREF=z"]),
+    max_size=3).map("".join)
+_html_leaf = st.one_of(
+    st.sampled_from(["x", "a b", " < ", "<", "&amp;", "&lt;", "&lt<",
+                     "&amp<b", "&#60;", "1 &", "<!-- c -->", "&copy;", "ü",
+                     "</p>", "</li>", "<!DOCTYPE html>"]),
+    st.text(alphabet="ab <>&;#/", max_size=6),
+    st.builds(lambda t, a, slash: f"<{t}{a}{slash}>",
+              st.sampled_from(["br", "img", "input", "div", "span"]),
+              _html_attrs, st.sampled_from(["", "/", " /"])),
+    st.builds(lambda t, body, closed: f"<{t}>{body}" + (f"</{t}>" * closed),
+              st.sampled_from(["script", "style", "title", "textarea"]),
+              st.sampled_from(["a < b", "</div>", "<b>x</b>", "&amp;", ""]),
+              st.sampled_from([True, True, True, False])),
+)
+_html_doc = st.lists(st.recursive(_html_leaf, lambda kids: st.builds(
+    lambda t, a, body, end: f"<{t}{a}>{''.join(body)}" + {
+        "close": f"</{t}>", "upper": f"</{t.upper()}>", "open": ""}[end],
+    st.sampled_from(["div", "p", "span", "a", "li", "ul", "DIV", "Span"]),
+    _html_attrs, st.lists(kids, max_size=4),
+    st.sampled_from(["close", "close", "close", "upper", "open"])),
+    max_leaves=30), max_size=4).map("".join)
+
+_compound = st.builds(
+    lambda tag, quals, nth: tag + "".join(quals) + nth,
+    st.sampled_from(["", "div", "span", "li", "p", "a", "*", "DIV"]),
+    st.lists(st.sampled_from([".a", ".b", ".c", "#x", "#y", "[data-k]",
+                              "[data-v=1]", "[href]"]), max_size=1),
+    st.sampled_from(["", "", "", "", ":first-child", ":last-child",
+                     ":nth-child(odd)", ":nth-child(2n+1)", ":nth-child(2)",
+                     ":nth-child(-n+2)"]),
+).filter(bool)
+_group = st.builds(
+    lambda first, rest, set_pseudo: first + "".join(
+        f"{comb}{c}" for comb, c in rest) + set_pseudo,
+    _compound,
+    st.lists(st.tuples(st.sampled_from([" ", " > ", "+", " ~ "]), _compound),
+             max_size=2),
+    st.sampled_from(["", "", "", "", "", ":first", ":last", ":eq(1)",
+                     ":eq(-1)"]),
+)
+_selector = st.lists(_group, min_size=1, max_size=3).map(", ".join)
+
+
+@given(_html_doc, _selector, _selector)
+@settings(max_examples=400, deadline=None)
+@example("<p class='a a'>x</p>", ".a", "*")    # class listed twice
+@example("<p>x</p><div><p>y</p></div>", "* > p", "*")  # #root is no parent
+@example("<div><p><b>x</b></p></div>", "div b", "div b")  # element 1
+@example("<ul><li>a</li><li class=b>b</li><li>c</li></ul>",
+         "li.b + li", "li ~ li.b")  # sibling combinators
+def test_flat_dom_css_find_matches_reference_tree(html, sel, sub_sel):
+    """The flat DOM and the reference Node tree hold the same elements
+    for the same markup and give the same css_find hits (positions,
+    name, attrs, text, inner html), from the document and from every
+    element as extract_data's ``subset`` rules search a hit."""
+    from dom_reference import css_find as tree_find
+    from dom_reference import parse_tree
+
+    from neocrawler_ray.functions.dom import css_find, parse_html
+
+    flat, ref = parse_html(html), parse_tree(html)
+    assert (flat.text(), flat.html()) == (ref.text(), ref.html())
+    order = {id(n): k + 1 for k, n in enumerate(ref.iter_descendants())}
+
+    def same(got, want):
+        assert [e.i for e in got] == [order[id(n)] for n in want]
+        for e, n in zip(got, want):
+            assert (e.name, e.attrs, e.text(), e.html()) == (
+                n.name, n.attrs, n.text(), n.html())
+            assert [e.attr(k) for k in ("class", "id", "href")] == [
+                n.attr(k) for k in ("class", "id", "href")]
+
+    same(list(flat.iter_descendants()), list(ref.iter_descendants()))
+    same(css_find(flat, sel), tree_find(ref, sel))
+    for e, n in zip(flat.iter_descendants(), ref.iter_descendants()):
+        same(e.find(sub_sel), tree_find(n, sub_sel))
+
+
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
                 min_size=0, max_size=60))
 @settings(max_examples=40, deadline=None)
