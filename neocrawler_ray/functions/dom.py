@@ -221,11 +221,7 @@ def parse_html(content: str) -> Element:
             add_name(tag)
             add_parent(stack[-1])
             add_tstart(len(texts))
-            keys = index.get(tag)
-            if keys is None:
-                index[tag] = [k]
-            else:
-                keys.append(k)
+            index.setdefault(tag, []).append(k)
             if attr_text:
                 a = {}
                 for key, v in attr_findall(attr_text):
@@ -238,18 +234,12 @@ def parse_html(content: str) -> Element:
                 add_attrs(a)
                 _id = a.get("id")
                 if _id:
-                    keys = index.get("#" + _id)
-                    if keys is None:
-                        index["#" + _id] = [k]
-                    else:
-                        keys.append(k)
+                    index.setdefault("#" + _id, []).append(k)
                 _cls = a.get("class")
                 if _cls:
                     for c in _cls.split():
-                        keys = index.get("." + c)
-                        if keys is None:
-                            index["." + c] = [k]
-                        elif keys[-1] != k:  # class="a a" lists k once
+                        keys = index.setdefault("." + c, [])
+                        if not keys or keys[-1] != k:  # class="a a": once
                             keys.append(k)
             else:
                 add_attrs(None)
@@ -275,20 +265,17 @@ def parse_html(content: str) -> Element:
                 stack.append(k)
         elif end_name is not None:
             tag = end_name.lower()
-            top = stack[-1]
-            if names[top] == tag:  # well-formed close ("#root" never is)
-                stack.pop()
-                ends[top] = len(names)
-                tends[top] = len(texts)
-                continue
-            for d in range(len(stack) - 1, 0, -1):
-                if names[stack[d]] == tag:
-                    ne, nt = len(names), len(texts)
-                    for e in stack[d:]:
-                        ends[e] = ne
-                        tends[e] = nt
-                    del stack[d:]
-                    break
+            # pop to the nearest open element of that name; #root
+            # (stack[0]) never matches, so an orphan end tag pops nothing
+            d = len(stack) - 1
+            while d and names[stack[d]] != tag:
+                d -= 1
+            if d:
+                ne, nt = len(names), len(texts)
+                while len(stack) > d:
+                    e = stack.pop()
+                    ends[e] = ne
+                    tends[e] = nt
         # else: comment/doctype/PI — skipped
     ne, nt = len(names), len(texts)
     for e in stack:

@@ -348,7 +348,9 @@ def test_decode_body():
 def test_extract_leaves_no_cyclic_garbage(tmp_path):
     """The flat DOM holds no parent/child reference cycles: once a heavy
     detail page's parse and extract results are dropped, reference
-    counting has freed everything and the cyclic GC finds nothing."""
+    counting has freed them, so the cyclic GC finds none of their
+    objects.  Only this page's objects are checked: other threads of the
+    test process (a Ray driver) may leave cyclic garbage of their own."""
     import gc
     import json
 
@@ -369,10 +371,37 @@ def test_extract_leaves_no_cyclic_garbage(tmp_path):
     content = decode_body(html, {})
     rule = detect_link(url, rules)[1]
 
+    def ours(o):
+        return type(o).__module__.startswith("neocrawler_ray.")
+
+    def graph(roots):
+        """ids of the containers reachable from ``roots`` through
+        builtin containers and neocrawler_ray objects."""
+        seen, todo = {}, list(roots)
+        while todo:
+            o = todo.pop()
+            if id(o) in seen or not gc.is_tracked(o):
+                continue
+            if not (ours(o) or type(o) in (list, dict, tuple, set)):
+                continue
+            seen[id(o)] = type(o).__name__
+            todo += gc.get_referents(o)
+        return seen
+
     gc.collect()
-    dom = parse_html(content)
-    assert sum(1 for _ in dom.iter_descendants()) > 150  # a heavy page
-    result = extract_page(url, content, rule, "*", True, rules)
-    assert result[2]["title"] and result[2]["specs"]
-    del dom, result
-    assert gc.collect() == 0
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds
+    try:
+        dom = parse_html(content)
+        assert sum(1 for _ in dom.iter_descendants()) > 150  # heavy page
+        result = extract_page(url, content, rule, "*", True, rules)
+        assert result[2]["title"] and result[2]["specs"]
+        page_objects = graph([dom, result])
+        assert "_Doc" in page_objects.values()
+        del dom, result
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage
+                  if ours(o) or id(o) in page_objects]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
