@@ -223,3 +223,13 @@ def parse_urllib_key(key: str) -> tuple[str, str] | None:
     if len(parts) != 3:
         return None
     return parts[1], parts[2]
+
+
+def rule_for_urllib(rules: dict, key: str) -> dict | None:
+    """The driller rule a rule-queue ``key`` names in ``rules`` (``{domain:
+    {alias: rule}}``), or None when the key is malformed or names no
+    rule."""
+    da = parse_urllib_key(key)
+    if da is None:
+        return None
+    return (rules.get(da[0]) or {}).get(da[1])

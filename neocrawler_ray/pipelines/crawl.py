@@ -5,12 +5,13 @@ The pool: ``H = cluster CPUs`` :class:`CrawlHost` actors are the only
 processes that do crawl work.  They hold the ``num_frontier_shards``
 (S) logical shards — the partition count that fixes url ownership,
 checkpoint files and per-shard metrics — shard ``sid`` on host
-``sid % H``, and they also run the robots scan, the pages-partition
-loads and every block.  A crawl starts no task worker: on a host with
-fewer cores than Ray CPUs each worker process starts serially (≈1.5-3 s
-CPU and 70-185 MB each), so every process beyond the hosts used to add
-its start-up to the first waves.  Pops, commits and reports go to the
-hosts that hold shards.
+``sid % H``, and they also run the pages-partition loads — the crawl's
+only read of the pages; each host's kernel parses the robots rules from
+the loaded partitions — and every block.  A crawl starts no task worker:
+on a host with fewer cores than Ray CPUs each worker process starts
+serially (≈1.5-3 s CPU and 70-185 MB each), so every process beyond the
+hosts used to add its start-up to the first waves.  Pops, commits and
+reports go to the hosts that hold shards.
 
 Each wave is one straight line — schedule → blocks → commit →
 manifest — and the driver joins each step before the next::
@@ -18,7 +19,8 @@ manifest — and the driver joins each step before the next::
     schedule: frontier pops in deterministic order, planned from the
       queued keys the previous commit reported, so only shards with
       work are called
-      → blocks grouped by pages-shard (fetch locality), table put once
+      → blocks grouped by pages-shard (fetch locality) of the url hosts
+        the pops returned, table put once
       → block k on host k % H (CrawlHost.run_block): fused fetch-sim +
         extract on the host's kernel → its own parquet part under
         wave=k/, then the feedback rows, keyed, into this host's shards
@@ -72,12 +74,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..config import CrawlSettings, RuleSet
-from ..functions.urls import url_host
 from ..sources.pages_gen import _host_shard
 from ..stages.extract_stage import ExtractBatch, route_feedback
 from ..stages.fetch import (FetchSim, _hash_sorted_pages, _read_pages_table,
-                            browser_rules_map, build_robots_map,
-                            cookie_rules_map, proxy_rules_map)
+                            browser_rules_map, cookie_rules_map,
+                            proxy_rules_map, robots_from_pages)
 from ..state.frontier import (STATE_FORMAT_VERSION, FrontierHost,
                               check_state_format, host_of)
 from .scheduler import run_schedule_wave
@@ -85,17 +86,17 @@ from .scheduler import run_schedule_wave
 
 class CrawlHost(FrontierHost):
     """A :class:`FrontierHost` that also runs the crawl's work: the
-    robots scan, the pages-partition loads and every block's fused
-    fetch-sim + extract.  The engine's only Ray actor class, so a crawl
-    starts one worker process per host and no task worker — on a host
-    with fewer cores than Ray CPUs each worker start-up is serial, and
-    the blocks reuse the processes the frontier already paid for.
+    pages-partition loads and every block's fused fetch-sim + extract.
+    The engine's only Ray actor class, so a crawl starts one worker
+    process per host and no task worker — on a host with fewer cores
+    than Ray CPUs each worker start-up is serial, and the blocks reuse
+    the processes the frontier already paid for.
 
     Per-job inputs arrive once: ``plugin`` at construction, the peers
-    and the robots/partition refs in :meth:`join`.  The
-    ``(FetchSim, ExtractBatch)`` kernel is built on the first block and
-    dropped by :meth:`update_rules`, so the pages-partition cache lives
-    for the whole wave loop."""
+    and the partition refs in :meth:`join`.  The ``(FetchSim,
+    ExtractBatch)`` kernel is built on the first block and dropped by
+    :meth:`update_rules`, so the pages-partition cache lives for the
+    whole wave loop."""
 
     def __init__(self, index: int, sids: list[int], rules: dict,
                  settings: CrawlSettings, corpus_dir: str,
@@ -106,7 +107,7 @@ class CrawlHost(FrontierHost):
         self.corpus_dir, self.pages_shards = corpus_dir, pages_shards
         self.plugin = plugin
         self.peers: list = []
-        self.refs: dict = {"robots": {}, "pages": {}}
+        self.pages: dict = {}
         self.kernel: tuple[FetchSim, ExtractBatch] | None = None
 
     def load_pages(self, path: str) -> pa.Table:
@@ -115,20 +116,16 @@ class CrawlHost(FrontierHost):
         zero-copy."""
         return _hash_sorted_pages(_read_pages_table(path))
 
-    def robots_map(self, corpus_dir: str) -> dict[str, list[str]]:
-        return build_robots_map(corpus_dir)
-
-    def join(self, peers: list[str], refs: dict) -> None:
+    def join(self, peers: list[str], pages: dict) -> None:
         """Every host's actor name (``peers[h]`` is host ``h``) and
-        ``refs``, ``{"robots": robots ref, "pages": {pages shard: ref}}``
-        — nested in a dict, so the call does not wait for them.  A
-        handle looked up by name is weak: hosts holding each other's
-        handles would keep the pool alive after the job dropped its
-        own."""
+        ``pages``, ``{pages shard: load ref}`` — nested in a dict, so the
+        call does not wait for them.  A handle looked up by name is
+        weak: hosts holding each other's handles would keep the pool
+        alive after the job dropped its own."""
         import ray
 
         self.peers = [ray.get_actor(name) for name in peers]
-        self.refs = refs
+        self.pages = pages
 
     def update_rules(self, rules: dict) -> None:
         super().update_rules(rules)
@@ -137,11 +134,19 @@ class CrawlHost(FrontierHost):
 
     def _kernel(self) -> tuple[FetchSim, ExtractBatch]:
         if self.kernel is None:
+            import ray
+
             r = self.rules
+            # partitions in the order pads.dataset lists their files
+            # (lexicographic ``shard=`` paths), the order behind
+            # build_robots_map's and the oracle's last-wins result; rows
+            # within a partition come in url_hash order
+            robots = robots_from_pages(
+                ray.get([self.pages[p] for p in sorted(self.pages, key=str)]))
             self.kernel = (
-                FetchSim(self.corpus_dir, self.refs["robots"],
+                FetchSim(self.corpus_dir, robots,
                          self.pages_shards, plugin=self.plugin,
-                         partition_refs=self.refs["pages"],
+                         partition_refs=self.pages,
                          browser_map=browser_rules_map(r),
                          proxy_map=proxy_rules_map(r),
                          cookie_map=cookie_rules_map(r)),
@@ -179,27 +184,6 @@ class CrawlHost(FrontierHost):
             "final_state").to_pylist()
         return {"fail": st.count("crawled_failure") + st.count("crawl_retry"),
                 "finish": st.count("crawled_finish")}, acks
-
-
-def hosts_vectorized(u_ser):
-    """Lower-cased hostnames for a url Series — C-regex fast path with a
-    row-wise ``url_host`` (urlsplit) fallback for anything the regex
-    can't take (brackets — IPv6 literals or ``ValueError`` — non-ASCII,
-    scheme-less, empty), so the mapping is urlsplit-identical
-    (property-tested over arbitrary text).  Tabs and line breaks are
-    stripped first, as urlsplit does.  ~5 µs/url as a python urlsplit
-    loop, this was a measurable slice of the per-wave serial floor; the
-    resulting shard id only drives fetch locality (each block
-    re-derives every row's own pages shard), never results."""
-    clean = u_ser.str.replace(r"[\t\r\n]", "", regex=True)
-    hosts = clean.str.extract(
-        r"^[a-zA-Z][a-zA-Z0-9+.\-]*://(?:[^/?#]*@)?([^/?#:@]*)",
-        expand=False)
-    slow = (hosts.isna() | (hosts == "")
-            | clean.str.contains(r"[\[\]]|[^\x00-\x7f]", regex=True))
-    if slow.any():
-        hosts[slow] = u_ser[slow].map(lambda x: url_host(x) or "")
-    return hosts.str.lower().fillna("")
 
 
 SCHED_SCHEMA = pa.schema(
@@ -296,10 +280,9 @@ class CrawlJob:
         self.shard_hosts = self.hosts[:S]
         self.shards = [_shard_handle(self.hosts[host_of(sid, H)], sid)
                        for sid in range(S)]
-        # the robots scan and the pages loads are each host's first
-        # calls: a block's blocking ray.get of a peer's load never waits
-        # behind that peer's own blocks (one caller's calls run in order)
-        robots = self.hosts[0].robots_map.remote(corpus_dir)
+        # the pages loads are each host's first calls: a block's
+        # blocking ray.get of a peer's load never waits behind that
+        # peer's own blocks (one caller's calls run in order)
         pages = {}
         for p in range(pages_shards):
             path = os.path.join(corpus_dir, "pages", f"shard={p}",
@@ -307,7 +290,7 @@ class CrawlJob:
             if os.path.exists(path):
                 pages[p] = self.hosts[p % H].load_pages.remote(path)
         for h in self.hosts:
-            h.join.remote(names, {"robots": robots, "pages": pages})
+            h.join.remote(names, pages)
 
         # each logical shard's queued_keys() as its last commit or
         # restore reported it: a fresh frontier has no queued url or retry
@@ -462,18 +445,12 @@ class CrawlJob:
             # split into batch-sized sub-blocks to keep full parallelism.
             n = sched_tbl.num_rows
             import numpy as np
-            import pandas as pd
 
-            codes, uniq = pd.factorize(
-                hosts_vectorized(sched_tbl.column("url").to_pandas()))
-            shard_for_host = np.empty(len(uniq), dtype=np.int64)
-            for hi, h in enumerate(uniq):
-                v = self._host_shard_cache.get(h)
-                if v is None:
-                    v = self._host_shard_cache[h] = _host_shard(
-                        h, pages_shards)
-                shard_for_host[hi] = v
-            shard_of = shard_for_host[codes]
+            memo = self._host_shard_cache
+            for h in set(scheduled["host"]) - memo.keys():
+                memo[h] = _host_shard(h, pages_shards)
+            shard_of = np.array([memo[h] for h in scheduled["host"]],
+                                dtype=np.int64)
             # stable sort by shard (ties keep seq order) — C-speed vs the
             # previous python sorted(key=tuple)
             order = np.argsort(shard_of, kind="stable")

@@ -34,7 +34,7 @@ from ..stages.fetch import (apply_browser, apply_cookie_gate,
                             rule_script_key)
 from ..state.frontier import FrontierHost
 from ..functions.extract import decode_body, extract_page, validate_content
-from ..functions.urls import url_host, url_tld
+from ..functions.urls import rule_for_urllib, url_host, url_tld
 from .scheduler import run_schedule_wave
 
 
@@ -93,7 +93,7 @@ def run_oracle(corpus_dir: str, settings: CrawlSettings,
 
         for row in scheduled:
             url = row["url"]
-            rule = extractor._rule(row["urllib"]) or {}
+            rule = rule_for_urllib(rules, row["urllib"]) or {}
             host = url_host(url) or ""
             html = None
             status = 0

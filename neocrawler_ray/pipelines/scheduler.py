@@ -28,19 +28,10 @@ from __future__ import annotations
 import math
 
 from ..config import CrawlSettings
-from ..functions.urls import expand_seed, url_md5, url_tld
-from ..state.frontier import host_of
+from ..functions.urls import expand_seed, url_host
+from ..state.frontier import host_of, shard_for_domain, shard_for_url
 
-__all__ = ["shard_for_domain", "shard_for_url", "run_schedule_wave"]
-
-
-def shard_for_domain(domain: str, num_shards: int) -> int:
-    return int(url_md5(domain)[:8], 16) % num_shards
-
-
-def shard_for_url(url: str, num_shards: int) -> int:
-    tld = url_tld(url) or ""
-    return shard_for_domain(tld, num_shards)
+__all__ = ["run_schedule_wave"]
 
 
 def _dispatch(hosts: list):
@@ -119,8 +110,10 @@ def run_schedule_wave(
 
     Returns the wave's crawl batch AND the schedule-order parity log as
     one dict of parallel column lists ``{url, urllib, version, referer,
-    drill_relation, retry}`` plus the scalar ``wave``; a row's ``seq`` is
-    its list index.
+    drill_relation, retry, host}`` plus the scalar ``wave``; a row's
+    ``seq`` is its list index.  ``host`` is each url's ``url_host(url) or
+    ""``, as the shard's pop or drain computed it (the driver computes a
+    seed's): the crawl cuts its blocks by it and does not log it.
     """
     submit, submit_pair, resolve = _dispatch(hosts)
     num_shards = settings.num_frontier_shards
@@ -221,7 +214,7 @@ def run_schedule_wave(
     results = resolve(tokens)
 
     # --- emit the schedule log in serve order --------------------------
-    # column-list accumulation (6 list appends/row beats a dict alloc —
+    # column-list accumulation (7 list appends/row beats a dict alloc —
     # the emit loop measured 0.3 s/wave driver-serial at 62k attempts)
     c_url: list = []
     c_ulib: list = []
@@ -229,22 +222,24 @@ def run_schedule_wave(
     c_ref: list = []
     c_rel: list = []
     c_retry: list = []
+    c_host: list = []
 
-    def _emit(url, urllib_key, ver, referer, relation, retry):
+    def _emit(url, urllib_key, ver, referer, relation, retry, host):
         c_url.append(url)
         c_ulib.append(urllib_key)
         c_ver.append(ver)
         c_ref.append(referer)
         c_rel.append(relation)
         c_retry.append(retry)
+        c_host.append(host)
 
     # retry drains first, in serve order
     for e in priority_entries:
         k = "urllib:" + e["key"]
         if k in drain_tok:
             ti, pos = drain_tok[k]
-            for url, ver, referer, relation, rcount in results[ti][pos]:
-                _emit(url, k, ver, referer, relation, rcount)
+            for url, ver, referer, relation, rcount, host in results[ti][pos]:
+                _emit(url, k, ver, referer, relation, rcount, host)
     for step in steps:
         if step[0] == "seeds":
             _, urllib_key, links, seed_parts = step
@@ -254,18 +249,21 @@ def run_schedule_wave(
                     accepted_flags[i] = ok
             for link, ok in zip(links, accepted_flags):
                 if ok:
-                    _emit(link, urllib_key, version, "", "*", 0)
+                    _emit(link, urllib_key, version, "", "*", 0,
+                          url_host(link) or "")
         else:
             # bulk path for pop results — already column lists from the
-            # shard (4 parallel lists), so the emit is pure list.extend
+            # shard (5 parallel lists), so the emit is pure list.extend
             # with no per-row transpose; the emit loop is driver-serial
             _, ti, keys = step
-            for urllib_key, (u, v, rf, rl) in zip(keys, results[ti]):
+            for urllib_key, (u, v, rf, rl, hs) in zip(keys, results[ti]):
                 c_url.extend(u)
                 c_ulib.extend([urllib_key] * len(u))
                 c_ver.extend(v)
                 c_ref.extend(rf)
                 c_rel.extend(rl)
                 c_retry.extend([0] * len(u))
+                c_host.extend(hs)
     return {"wave": wave, "url": c_url, "urllib": c_ulib, "version": c_ver,
-            "referer": c_ref, "drill_relation": c_rel, "retry": c_retry}
+            "referer": c_ref, "drill_relation": c_rel, "retry": c_retry,
+            "host": c_host}

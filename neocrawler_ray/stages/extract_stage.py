@@ -35,8 +35,8 @@ import json
 import pyarrow as pa
 
 from ..functions.extract import decode_body, extract_page, validate_content
-from ..functions.urls import url_tld
-from ..pipelines.scheduler import shard_for_domain
+from ..functions.urls import parse_urllib_key, rule_for_urllib, url_tld
+from ..state.frontier import shard_for_domain
 
 OUT_SCHEMA = pa.schema(
     [
@@ -76,14 +76,6 @@ class ExtractBatch:
         self.rules = rules
         self.settings = settings
 
-    def _rule(self, urllib_key: str) -> dict | None:
-        from ..functions.urls import parse_urllib_key
-
-        da = parse_urllib_key(urllib_key)
-        if da is None:
-            return None
-        return (self.rules.get(da[0]) or {}).get(da[1])
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = {name: [] for name in OUT_SCHEMA.names}
 
@@ -114,7 +106,7 @@ class ExtractBatch:
             html = html_col[i].as_py()
             status = cols["status"][i]
             blocked = cols["robots_blocked"][i]
-            rule = self._rule(urllib_key) or {}
+            rule = rule_for_urllib(self.rules, urllib_key) or {}
             domain = url_tld(url) or ""
             fmt = rule.get("format", "html")
             is_binary = fmt == "binary"
@@ -259,7 +251,6 @@ def route_feedback(table: pa.Table, num_shards: int) -> dict[int, list[tuple]]:
             # T6: re-admit on the RULE's shard (its retry queue lives
             # with its urllib queue, keyed by the rule domain)
             ulib = cols["urllib"][i]
-            from ..functions.urls import parse_urllib_key
             da = parse_urllib_key(ulib)
             rule_domain = da[0] if da else ""
             shard_buffers.setdefault(_dsid(rule_domain), []).append(

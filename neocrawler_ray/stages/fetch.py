@@ -25,11 +25,11 @@ partitions to disk and the scheduled blocks are grouped by pages-shard
 so a block touches 1-2 partitions.  Without Ray (debug mode) the stage
 falls back to direct parquet reads through the same hash-sort.
 
-Robots gating (north_rule capability; the reference has none): a
-``robots.txt`` per host is parsed once per run (one
-``CrawlHost.robots_map`` call at job start, its result ref shared by
-every host) and urls under a disallowed prefix are marked
-``robots_blocked`` without a fetch.
+Robots gating (north_rule capability; the reference has none): the
+``robots.txt`` rows are parsed by :func:`robots_from_pages` — in a crawl
+from the pages partitions the host kernel already loaded, without Ray
+from :func:`build_robots_map`'s url-filtered scan — and urls under a
+disallowed prefix are marked ``robots_blocked`` without a fetch.
 
 Politeness budgets are enforced upstream at schedule time (per-host
 per-wave quota in the frontier shard — the deterministic wave-model
@@ -242,28 +242,36 @@ def parse_robots(robots_bytes: bytes) -> list[str]:
     return disallow
 
 
+def robots_from_pages(tables: list[pa.Table]) -> dict[str, list[str]]:
+    """``{url_host: [disallow prefix]}`` from the ``robots.txt`` rows of
+    pages tables (``url`` and ``html`` columns), visited in the given
+    table and row order: when two rows share a url_host (netlocs that
+    differ in case or port), the last one wins.  Only a url ending in
+    ``/robots.txt`` counts — a page like ``/archive/robots.txt.html``
+    never overwrites a host's real robots (oracle.py uses endswith too)."""
+    import pyarrow.compute as pc
+
+    out: dict[str, list[str]] = {}
+    for tbl in tables:
+        rows = tbl.filter(pc.ends_with(tbl.column("url"), "/robots.txt"))
+        for url, html in zip(rows.column("url").to_pylist(),
+                             rows.column("html").to_pylist()):
+            host = url_host(url)
+            if host:
+                out[host] = parse_robots(html)
+    return out
+
+
 def build_robots_map(corpus_dir: str) -> dict[str, list[str]]:
-    """Driver-side: read only the robots.txt rows (url-filtered scan) into
-    a small {host: [disallow prefix]} dict for broadcast."""
+    """:func:`robots_from_pages` over a scan of the rows whose url
+    contains ``/robots.txt``, partitions in the dataset's file order."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     ds = pads.dataset(os.path.join(corpus_dir, "pages"))
-    # substring match is only the scan PREFILTER; the exact rule is
-    # endswith (a page like /archive/robots.txt.html must never
-    # overwrite the host's real robots — oracle.py uses endswith too)
-    tbl = ds.to_table(
+    return robots_from_pages([ds.to_table(
         columns=["url", "html"],
-        filter=pc.match_substring(pc.field("url"), "/robots.txt"),
-    )
-    out: dict[str, list[str]] = {}
-    for url, html in zip(tbl.column("url").to_pylist(), tbl.column("html").to_pylist()):
-        if not url.endswith("/robots.txt"):
-            continue
-        host = url_host(url)
-        if host:
-            out[host] = parse_robots(html)
-    return out
+        filter=pc.match_substring(pc.field("url"), "/robots.txt"))])
 
 
 PAGES_COLUMNS = ["url", "html", "html_rendered"]
@@ -302,20 +310,15 @@ def _hash_sorted_pages(tbl: pa.Table) -> pa.Table:
 class FetchSim:
     """url → (html, status) point lookups with robots gating."""
 
-    def __init__(self, corpus_dir: str, robots_map, pages_shards: int,
-                 cache_partitions: int = 16, plugin=None, partition_refs=None,
+    def __init__(self, corpus_dir: str, robots_map: dict[str, list[str]],
+                 pages_shards: int, cache_partitions: int = 16, plugin=None,
+                 partition_refs=None,
                  browser_map: "dict[str, tuple[int, str | None]] | None" = None,
                  proxy_map: frozenset[str] | None = None,
                  cookie_map: dict[str, str] | None = None):
-        try:
-            import ray
-
-            _is_ref = isinstance(robots_map, ray.ObjectRef)
-        except Exception:  # pragma: no cover - rayless debug mode
-            _is_ref = False
         self.corpus_dir = corpus_dir
         self.pages_shards = pages_shards
-        self.robots = ray.get(robots_map) if _is_ref else robots_map
+        self.robots = robots_map
         self.cache_partitions = cache_partitions
         self.partition_refs = partition_refs or {}
         # urllib key → (allowed navigate steps, script key) for jshandle

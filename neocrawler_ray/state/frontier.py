@@ -34,7 +34,8 @@ import pickle
 from collections import deque
 
 from ..config import CrawlSettings
-from ..functions.urls import detect_link, transform_link, url_host, url_md5
+from ..functions.urls import (detect_link, rule_for_urllib, transform_link,
+                              url_host, url_md5, url_tld)
 
 
 # Snapshot layout version, written into the checkpoint manifest; resume
@@ -96,8 +97,9 @@ class FrontierShard:
     # ------------------------------------------------------------------
     def drain_retries(self, urllib_key: str, now: int) -> list[tuple]:
         """Pop ALL pending retries (FIFO) of one rule.  Returns its
-        ``(url, version, referer, drill_relation, retry)`` rows; marks
-        each picked url ``crawling`` like any scheduled pickup."""
+        ``(url, version, referer, drill_relation, retry, host)`` rows,
+        ``host`` being ``url_host(url) or ""``; marks each picked url
+        ``crawling`` like any scheduled pickup."""
         q = self.retry_queues.get(urllib_key)
         out: list[tuple] = []
         while q:
@@ -105,21 +107,13 @@ class FrontierShard:
             kk = url_md5(url)
             info = self.url_info.get(kk, _NO_RECORD)
             out.append((url, info["version"], info["referer"],
-                        info["drill_relation"], retry))
+                        info["drill_relation"], retry, url_host(url) or ""))
             self.update_link_state(url, "crawling", False, now, kk=kk)
         return out
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _rule_for_urllib(self, urllib_key: str) -> dict | None:
-        from ..functions.urls import parse_urllib_key
-
-        da = parse_urllib_key(urllib_key)
-        if da is None:
-            return None
-        return (self.rules.get(da[0]) or {}).get(da[1])
-
     def _bump(self, event: str, n: int = 1) -> None:
         self.metrics[event] = self.metrics.get(event, 0) + n
 
@@ -178,7 +172,7 @@ class FrontierShard:
         info = self.url_info.get(url_md5(url))
         if info is None:
             return None  # 'not exists in urlinfo' → dropped
-        rule = self._rule_for_urllib(info["trace"])
+        rule = rule_for_urllib(self.rules, info["trace"])
         t_url = transform_link(url, rule)
         if t_url != url:
             return self._check_url(t_url, interval, now, _depth + 1)
@@ -206,12 +200,14 @@ class FrontierShard:
                      now: int):
         """Pop up to ``ct`` admissible urls from one rule's queue.
 
-        Returns ``(accepted, left)`` where ``accepted`` is four parallel
-        column lists ``(urls, versions, referers, drill_relations)`` —
-        and ``left`` the unmet quota carried to the next rule
+        Returns ``(accepted, left)`` where ``accepted`` is five parallel
+        column lists ``(urls, versions, referers, drill_relations,
+        hosts)`` — a host is the ``url_host(url) or ""`` the politeness
+        budget counts, which also picks the url's pages shard for block
+        locality — and ``left`` the unmet quota carried to the next rule
         (leftover-carry parity).  The column-list shape keeps the driver's
         emit loop a plain ``list.extend`` (no per-row tuple transpose) and
-        pickles as 4 primitive lists instead of O(rows) tuple objects.
+        pickles as 5 primitive lists instead of O(rows) tuple objects.
         Urls failing checkURL are dropped from the queue exactly as the
         reference pops-without-requeue does.  When the head url's host has
         exhausted its politeness budget this wave, draining stops and the
@@ -222,6 +218,7 @@ class FrontierShard:
         a_ver: list = []
         a_ref: list = []
         a_rel: list = []
+        a_host: list = []
         count = 0
         budget = self.settings.politeness_per_host_per_wave
         if now != self._host_now:
@@ -248,11 +245,12 @@ class FrontierShard:
                 info["status"] = "crawling"
                 count += 1
                 h = url_host(ok) or ""
+                a_host.append(h)
                 host_budget[h] = host_budget.get(h, 0) + 1
             else:
                 self._bump("check_rejected")
         left = ct - count if count < ct else 0
-        return (a_url, a_ver, a_ref, a_rel), left
+        return (a_url, a_ver, a_ref, a_rel, a_host), left
 
     def queue_len(self, urllib_key: str) -> int:
         q = self.queues.get(urllib_key)
@@ -334,7 +332,7 @@ class FrontierShard:
     # ------------------------------------------------------------------
     def _save_link(self, urllib_key: str, link: str, page_url: str,
                    drill_relation: str, version: int, now: int) -> bool:
-        rule = self._rule_for_urllib(urllib_key)
+        rule = rule_for_urllib(self.rules, urllib_key)
         if rule is None:
             return False
         final_link = transform_link(link, rule)
@@ -435,6 +433,17 @@ class FrontierShard:
         self.metrics = d["metrics"]
         self._buffer = {}
         return self.queued_keys()
+
+
+def shard_for_domain(domain: str, num_shards: int) -> int:
+    """The logical shard that owns ``domain``'s urls and rule queues:
+    ``md5(domain) % num_shards``."""
+    return int(url_md5(domain)[:8], 16) % num_shards
+
+
+def shard_for_url(url: str, num_shards: int) -> int:
+    """The logical shard that owns ``url``: its top-level domain's."""
+    return shard_for_domain(url_tld(url) or "", num_shards)
 
 
 def host_of(sid: int, num_hosts: int) -> int:

@@ -6,7 +6,11 @@
   environment-gated profiler).
 - Its only Ray remote is the ``CrawlHost`` actor class: no function
   becomes a Ray task, so a crawl starts no task-worker process beside
-  the hosts."""
+  the hosts.
+- The wave loop and the scheduler use no pandas, and the crawl reads the
+  corpus' pages only through ``CrawlHost.load_pages``: no second scan
+  of the pages dataset (its robots rules come from the loaded
+  partitions)."""
 
 import ast
 from pathlib import Path
@@ -90,3 +94,38 @@ def test_crawl_engine_remote_is_only_crawl_host():
             for p in ENGINE}
     assert {k: v for k, v in hits.items() if v} == {}
     assert "ray.remote(CrawlHost)" in ENGINE[0].read_text()
+
+
+def imports_and_names(source: str) -> tuple[set[str], set[str]]:
+    """Every module a source imports (``from a import b`` also counts as
+    ``a.b``), and every name and attribute it references or imports."""
+    mods, names = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mods.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            mods.add(node.module or "")
+            mods.update(f"{node.module}.{a.name}" for a in node.names)
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return mods, names
+
+
+def test_imports_and_names_detector():
+    mods, names = imports_and_names(
+        "from pyarrow import dataset as d\nimport pandas.api\nx.f(y)\n")
+    assert {"pyarrow.dataset", "pandas.api"} <= mods
+    assert {"dataset", "x", "f", "y"} <= names
+
+
+def test_wave_loop_uses_no_pandas_and_no_second_pages_scan():
+    crawl, scheduler = ENGINE[:2]
+    for p in (crawl, scheduler):
+        mods, _ = imports_and_names(p.read_text())
+        assert not [m for m in mods if m.split(".")[0] == "pandas"], p.name
+    mods, names = imports_and_names(crawl.read_text())
+    assert "pyarrow.dataset" not in mods
+    assert "build_robots_map" not in names

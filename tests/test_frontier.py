@@ -158,6 +158,7 @@ def test_schedule_pop_fifo_lifo_and_politeness():
     # FIFO pop, politeness budget 2/host/wave → only 2 accepted, rest kept
     acc, left = shard.schedule_pop(URLLIB, 10, False, 3600, now=100)
     assert acc[0] == urls[:2]
+    assert acc[4] == ["www.site0.example"] * 2  # the hosts it counted
     assert left == 8
     assert shard.queue_len(URLLIB) == 3
     # same wave clock: the host's budget stays spent
@@ -296,7 +297,7 @@ def test_schedule_calls_only_shards_with_work():
     unpruned plan does.  With work on one rule, that is one pop call
     whether the 3 shards sit on 3 hosts or on 1; with work on a rule of
     every shard, 1 host still takes a single pop call."""
-    from neocrawler_ray.pipelines.scheduler import shard_for_domain
+    from neocrawler_ray.state.frontier import shard_for_domain
 
     site: dict[int, int] = {}  # shard → index of one siteN.example on it
     i = 0

@@ -32,33 +32,6 @@ def test_url_functions_total(host, path):
     assert len(url_md5(url)) == 32
 
 
-# arbitrary text, plus scheme-prefixed text so most examples reach the
-# regex's host capture (brackets, userinfo, ports, control characters)
-_urlish = st.one_of(
-    st.text(),
-    st.builds(lambda scheme, rest: f"{scheme}://{rest}",
-              st.sampled_from(["http", "https", "HTTP", "a+b.c-d"]),
-              st.one_of(st.text(),
-                        st.text(alphabet="ab.:@[]/?#%0\t\r\n é",
-                                max_size=20))),
-)
-
-
-@given(st.lists(_urlish, min_size=1, max_size=20))
-@settings(max_examples=300, deadline=None)
-@example(["http://\r"])   # urlsplit strips tab/CR/LF
-@example(["http://0["])    # urlsplit raises ValueError → ""
-def test_hosts_vectorized_matches_url_host(urls):
-    """The crawl loop's C-regex host fast path agrees with ``url_host``
-    (urlsplit) on any text, not only url-shaped input."""
-    import pandas as pd
-
-    from neocrawler_ray.pipelines.crawl import hosts_vectorized
-
-    got = hosts_vectorized(pd.Series(urls, dtype=object)).tolist()
-    assert got == [(url_host(u) or "").lower() for u in urls]
-
-
 @given(words)
 @settings(max_examples=100, deadline=None)
 def test_minhash_identity_and_range(text):
@@ -327,9 +300,9 @@ def test_speculative_schedule_equivalence_property(cfg):
     import copy
 
     from neocrawler_ray.config import CrawlSettings, RuleSet
-    from neocrawler_ray.pipelines.scheduler import (run_schedule_wave,
-                                                    shard_for_url)
-    from neocrawler_ray.state.frontier import FrontierHost, host_of
+    from neocrawler_ray.pipelines.scheduler import run_schedule_wave
+    from neocrawler_ray.state.frontier import (FrontierHost, host_of,
+                                               shard_for_url)
 
     rules, depths, quota, n_shards, n_hosts, budget, extra = cfg
     rules = copy.deepcopy(rules)
@@ -391,6 +364,7 @@ def test_speculative_schedule_equivalence_property(cfg):
         for wave in (0, 1):
             cols = run_schedule_wave(wave, entries, rs.total_rates, hosts,
                                      settings_, report if pruned else None)
+            assert cols["host"] == [url_host(u) or "" for u in cols["url"]]
             trace.append(copy.deepcopy((cols, [
                 (sh.url_info, {k: list(v) for k, v in sh.queues.items()},
                  {k: list(v) for k, v in sh.retry_queues.items()},
@@ -412,6 +386,91 @@ def test_speculative_schedule_equivalence_property(cfg):
     one_per_host = run(False, n_shards)
     assert run(True, n_shards) == one_per_host
     assert run(True, n_hosts) == one_per_host
+
+
+_ROBOTS_BODY = st.lists(st.sampled_from([
+    "User-agent: *", "User-agent: otherbot", "Disallow: /private/",
+    "Disallow: /a", "disallow: /b/c  # note", "Disallow:", "# x", ""]),
+    max_size=6).map(lambda lines: "\n".join(lines).encode())
+
+
+@st.composite
+def _robots_corpus(draw):
+    """``(partition count, [(netloc, path, body)])``: a few hosts, each
+    with or without a ``robots.txt``, some with a robots-shaped decoy
+    page ``/archive/robots.txt.html``, and some with a second
+    ``robots.txt`` under a netloc that differs only by case or port —
+    one url_host — and lands in another partition."""
+    from neocrawler_ray.sources.pages_gen import _host_shard
+
+    n_parts = draw(st.integers(2, 12))
+    hosts = draw(st.lists(st.from_regex(r"[a-z]{1,6}\.example",
+                                        fullmatch=True),
+                          min_size=1, max_size=5, unique=True))
+    rows = []
+    for host in hosts:
+        rows.append((host, "/index.html", b"<html>page</html>"))
+        if draw(st.booleans()):
+            rows.append((host, "/robots.txt", draw(_ROBOTS_BODY)))
+        if draw(st.booleans()):
+            rows.append((host, "/archive/robots.txt.html",
+                         draw(_ROBOTS_BODY)))
+        kind = draw(st.sampled_from([None, "case", "port"]))
+        start = draw(st.integers(1, 5000))
+        variants = ((f"{host}:{p}" for p in range(start, start + 5000))
+                    if kind == "port" else
+                    ("".join(c.upper() if m >> i & 1 else c
+                             for i, c in enumerate(host))
+                     for m in range(1, 1 << len(host))))
+        other = next((v for v in variants if kind and _host_shard(
+            v, n_parts) != _host_shard(host, n_parts)), None)
+        if other is not None:
+            rows.append((other, "/robots.txt", draw(_ROBOTS_BODY)))
+    return n_parts, draw(st.permutations(rows))
+
+
+@given(_robots_corpus())
+@settings(max_examples=100, deadline=None)
+def test_robots_from_loaded_partitions_equal_scan(corpus):
+    """The crawl kernel's robots rules — ``robots_from_pages`` over each
+    loaded (hash-sorted) partition, shard ids visited as sorted strings —
+    equal ``build_robots_map``'s scan and a last-wins reference over the
+    rows in file order: decoys never count, and a url_host with two
+    ``robots.txt`` rows in two partitions takes the later partition's."""
+    import os
+    import tempfile
+
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from neocrawler_ray.sources.pages_gen import _host_shard
+    from neocrawler_ray.stages.fetch import (_hash_sorted_pages,
+                                             _read_pages_table,
+                                             build_robots_map, parse_robots,
+                                             robots_from_pages)
+
+    n_parts, rows = corpus
+    by_part: dict[int, list] = {}
+    for netloc, path, body in rows:
+        by_part.setdefault(_host_shard(netloc, n_parts), []).append(
+            (f"http://{netloc}{path}", body))
+    order = sorted(by_part, key=str)
+    with tempfile.TemporaryDirectory() as d:
+        paths = [f"{d}/pages/shard={k}/part.parquet" for k in order]
+        for k, path in zip(order, paths):
+            os.makedirs(os.path.dirname(path))
+            pq.write_table(pa.table({
+                "url": [u for u, _ in by_part[k]],
+                "html": pa.array([b for _, b in by_part[k]], pa.binary())}),
+                path)
+        assert pads.dataset(f"{d}/pages").files == paths
+        got = robots_from_pages(
+            [_hash_sorted_pages(_read_pages_table(p)) for p in paths])
+        assert got == build_robots_map(d)
+    want = {url_host(u): parse_robots(b) for k in order
+            for u, b in by_part[k] if u.endswith("/robots.txt")}
+    assert got == want
 
 
 @given(st.lists(_ROW, max_size=16), st.integers(0, 3), st.data())

@@ -122,34 +122,3 @@ def test_json_smart_deep_parse():
     assert p({"neg": "-5", "obj": '{"k": "3"}'}) == {"neg": -5, "obj": {"k": 3}}
     assert p("") == ""
 
-
-def test_hosts_vectorized_matches_urlsplit():
-    """The crawl loop's C-regex host fast path must agree with
-    ``url_host`` (urlsplit) on every shape it can meet — the fallback
-    mask has to catch whatever the regex can't."""
-    import pandas as pd
-
-    from neocrawler_ray.functions.urls import url_host
-    from neocrawler_ray.pipelines.crawl import hosts_vectorized
-
-    urls = [
-        "http://plain.example/",
-        "https://Sub.Example.COM/path?q=1#frag",
-        "http://user:pw@auth.example/x",
-        "http://ported.example:8080/x",
-        "http://user@both.example:99/x?y#z",
-        "http://[2001:db8::1]/v6",
-        "http://[2001:db8::1]:8443/v6port",
-        "ftp://other.scheme.example/f",
-        "scheme-less/relative/path",
-        "",
-        "http://",
-        "http:///missing-host",
-        "http://trailing.dot.example.",
-        "http://xn--idn-example.xn--p1ai/",
-        "http://UPPER.example/A?B=C",
-        "weird://odd+scheme.example/",
-    ]
-    got = hosts_vectorized(pd.Series(urls)).tolist()
-    want = [(url_host(u) or "").lower() for u in urls]
-    assert got == want
