@@ -18,9 +18,11 @@ manifest — and the driver joins each step before the next::
 
     schedule: frontier pops in deterministic order, planned from the
       queued keys the previous commit reported, so only shards with
-      work are called
-      → blocks grouped by pages-shard (fetch locality) of the url hosts
-        the pops returned, table put once
+      work are called; the scheduler returns the wave as one Arrow
+      table, whose columns but ``host`` are the wave's schedule log
+      → rows stable-sorted by the pages-shard (fetch locality) of the
+        url hosts the pops returned, cut into blocks at shard
+        boundaries (:func:`_block_bounds`), table put once
       → block k on host k % H (CrawlHost.run_block): fused fetch-sim +
         extract on the host's kernel → its own parquet part under
         wave=k/, then the feedback rows, keyed, into this host's shards
@@ -70,6 +72,7 @@ import shutil
 import uuid
 from types import SimpleNamespace
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -186,36 +189,24 @@ class CrawlHost(FrontierHost):
                 "finish": st.count("crawled_finish")}, acks
 
 
-SCHED_SCHEMA = pa.schema(
-    [
-        ("seq", pa.int64()),
-        ("wave", pa.int32()),
-        ("url", pa.string()),
-        ("urllib", pa.string()),
-        ("version", pa.int64()),
-        ("referer", pa.string()),
-        ("drill_relation", pa.string()),
-        ("retry", pa.int32()),
-    ]
-)
-
-
-def _scheduled_to_table(scheduled: dict) -> pa.Table:
-    n = len(scheduled["url"])
-    return pa.table(
-        {
-            "seq": pa.array(range(n), pa.int64()),
-            "wave": pa.array([scheduled["wave"]] * n, pa.int32()),
-            "url": pa.array(scheduled["url"], pa.string()),
-            "urllib": pa.array(scheduled["urllib"], pa.string()),
-            "version": pa.array(scheduled["version"], pa.int64()),
-            "referer": pa.array(scheduled["referer"], pa.string()),
-            "drill_relation": pa.array(scheduled["drill_relation"],
-                                       pa.string()),
-            "retry": pa.array(scheduled["retry"], pa.int32()),
-        },
-        schema=SCHED_SCHEMA,
-    )
+def _block_bounds(shard_sorted: np.ndarray,
+                  batch: int) -> list[tuple[int, int]]:
+    """``[(lo, hi)]`` blocks tiling the rows of a wave sorted by pages
+    shard: a block ends after ``batch`` rows, or at the first shard
+    change once it holds ``batch // 2`` (at least 1), so a block reads
+    1-2 pages partitions and stays big enough to amortize its call."""
+    n = len(shard_sorted)
+    # the shard-change indices, then n
+    ends = np.append(np.flatnonzero(shard_sorted[1:] != shard_sorted[:-1])
+                     + 1, n)
+    bounds: list[tuple[int, int]] = []
+    i = 0
+    while i < n:
+        k = np.searchsorted(ends, min(i + max(batch // 2, 1), n))
+        j = min(i + batch, int(ends[k]))
+        bounds.append((i, j))
+        i = j
+    return bounds
 
 
 def _num_hosts() -> int:
@@ -306,8 +297,6 @@ class CrawlJob:
         # T5 hot-reload signature of rules.json
         self._rules_path = os.path.join(corpus_dir, "rules.json")
         self._rules_sig = self._rules_signature()[0]
-        # per-run host→pages-shard memo (few distinct hosts, md5-derived)
-        self._host_shard_cache: dict[str, int] = {}
 
     # --- T5 rules hot-reload (wave-boundary re-expression of the
     #     reference's 120 s poll, scheduler/index.js:63-120) -------------
@@ -424,14 +413,14 @@ class CrawlJob:
             scheduled = run_schedule_wave(
                 wave, self.entries, self.total_rates, self.hosts, s,
                 self._queued)
-            if not scheduled["url"]:
+            if not len(scheduled):
                 break
             version = s.wave_version(wave)
             # 'crawling' pickup marks are folded into the pop/seed RPCs
             # (frontier.push_seeds / schedule_pop) — no extra barrier here
 
             # schedule-order log (parity artifact + resumable output unit)
-            sched_tbl = _scheduled_to_table(scheduled)
+            sched_tbl = scheduled.drop_columns(["host"])
             sdir = os.path.join(self.out_dir, "schedule")
             os.makedirs(sdir, exist_ok=True)
             pq.write_table(sched_tbl, os.path.join(sdir, f"wave_{wave}.parquet"))
@@ -441,43 +430,24 @@ class CrawlJob:
             # block reads exactly one co-partitioned pages file and
             # host-local partition caches stay hot — arbitrary chunking
             # makes every host page in every partition (measured: that
-            # inverts scaling at high CPU counts).  Large shard groups
-            # split into batch-sized sub-blocks to keep full parallelism.
+            # inverts scaling at high CPU counts).  One _host_shard call
+            # per distinct host, a stable sort by shard (ties keep seq
+            # order), then the cut.
             n = sched_tbl.num_rows
-            import numpy as np
-
-            memo = self._host_shard_cache
-            for h in set(scheduled["host"]) - memo.keys():
-                memo[h] = _host_shard(h, pages_shards)
-            shard_of = np.array([memo[h] for h in scheduled["host"]],
-                                dtype=np.int64)
-            # stable sort by shard (ties keep seq order) — C-speed vs the
-            # previous python sorted(key=tuple)
+            url_hosts = scheduled["host"].combine_chunks().dictionary_encode()
+            shard_of = np.array(
+                [_host_shard(h, pages_shards)
+                 for h in url_hosts.dictionary.to_pylist()],
+                dtype=np.int64)[url_hosts.indices.to_numpy()]
             order = np.argsort(shard_of, kind="stable")
-            # shard-sorted rows are cut into ~batch-sized blocks; a cut
-            # prefers a shard boundary once the block is half full, so a
-            # block reads 1-2 pages partitions and blocks stay big enough
-            # to amortize the frontier-push barrier per block
-            sorted_tbl = sched_tbl.take(order)
-            shard_sorted = shard_of[order]
-            bounds: list[tuple[int, int]] = []
-            i = 0
-            while i < n:
-                j = i
-                while j < n and j - i < s.extract_batch_size:
-                    if (j > i and shard_sorted[j] != shard_sorted[j - 1]
-                            and j - i >= s.extract_batch_size // 2):
-                        break
-                    j += 1
-                bounds.append((i, j))
-                i = j
+            bounds = _block_bounds(shard_of[order], s.extract_batch_size)
             # one broadcast of the wave table; each block slices its row
             # range zero-copy.  ONE fused call (fetch-sim + extract) per
             # block, block k on host k % H: the host kernels (and their
             # pages-partition / compiled-rules caches) persist across
             # waves, and the html bytes never cross the object store
             # between the stages
-            table_ref = ray.put(sorted_tbl)
+            table_ref = ray.put(sched_tbl.take(order))
             wave_path = os.path.join(self.out_dir, "extracted", f"wave={wave}")
             # a crash-resume (or rerun into the same out_dir) re-executes
             # this wave; stale part files would duplicate rows and

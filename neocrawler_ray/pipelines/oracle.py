@@ -27,11 +27,10 @@ import os
 import pyarrow.dataset as pads
 
 from ..config import CrawlSettings, RuleSet
-from ..stages.extract_stage import ExtractBatch
 from ..stages.fetch import (apply_browser, apply_cookie_gate,
                             navigate_steps, parse_robots,
-                            proxy_fetch_failed, rule_cookie_header,
-                            rule_script_key)
+                            proxy_fetch_failed, robots_blocked,
+                            rule_cookie_header, rule_script_key)
 from ..state.frontier import FrontierHost
 from ..functions.extract import decode_body, extract_page, validate_content
 from ..functions.urls import rule_for_urllib, url_host, url_tld
@@ -68,7 +67,6 @@ def run_oracle(corpus_dir: str, settings: CrawlSettings,
     # force single shard regardless of the settings used by the engine run
     settings = dataclasses.replace(settings, num_frontier_shards=1)
     frontier = FrontierHost([0], rules, settings)
-    extractor = ExtractBatch(rules, settings, [], push_to_frontier=False)
 
     schedule_log: list[dict] = []
     extracted: list[dict] = []
@@ -76,19 +74,13 @@ def run_oracle(corpus_dir: str, settings: CrawlSettings,
 
     wave = 0
     while wave < max_waves:
-        cols = run_schedule_wave(wave, entries, total_rates, [frontier],
-                                 settings)
-        if not cols["url"]:
+        sched = run_schedule_wave(wave, entries, total_rates, [frontier],
+                                  settings)
+        if not len(sched):
             break
         version = settings.wave_version(wave)
         # 'crawling' marks are folded into the pop/seed path in the shard
-        scheduled = [
-            {"seq": i, "url": u, "urllib": k, "version": v, "referer": rf,
-             "drill_relation": rl, "wave": wave, "retry": rt}
-            for i, (u, k, v, rf, rl, rt) in enumerate(zip(
-                cols["url"], cols["urllib"], cols["version"],
-                cols["referer"], cols["drill_relation"], cols["retry"]))
-        ]
+        scheduled = sched.drop_columns(["host"]).to_pylist()
         schedule_log.extend(scheduled)
 
         for row in scheduled:
@@ -125,9 +117,7 @@ def run_oracle(corpus_dir: str, settings: CrawlSettings,
             # final round; jshandle rules with navigation budget expand
             rounds: list[tuple[int, "bytes | None"]] = []
             if not handled:
-                prefixes = robots.get(host) or []
-                path = url.split(host, 1)[-1]
-                blocked = any(path.startswith(p) for p in prefixes)
+                blocked = robots_blocked(robots, url, host)
                 if (not blocked and rule.get("use_proxy")
                         and proxy_fetch_failed(
                             url, int(row.get("retry") or 0))):

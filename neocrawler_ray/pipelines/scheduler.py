@@ -27,11 +27,21 @@ from __future__ import annotations
 
 import math
 
+import pyarrow as pa
+
 from ..config import CrawlSettings
 from ..functions.urls import expand_seed, url_host
 from ..state.frontier import host_of, shard_for_domain, shard_for_url
 
-__all__ = ["run_schedule_wave"]
+__all__ = ["SCHED_SCHEMA", "run_schedule_wave"]
+
+# one row per scheduled url, in serve order; ``host`` is the url's
+# ``url_host(url) or ""``, read by the block cut and never logged
+SCHED_SCHEMA = pa.schema([
+    ("seq", pa.int64()), ("wave", pa.int32()), ("url", pa.string()),
+    ("urllib", pa.string()), ("version", pa.int64()),
+    ("referer", pa.string()), ("drill_relation", pa.string()),
+    ("retry", pa.int32()), ("host", pa.string())])
 
 
 def _dispatch(hosts: list):
@@ -67,7 +77,7 @@ def run_schedule_wave(
     hosts: list,
     settings: CrawlSettings,
     queued: list[tuple] | None = None,
-) -> dict:
+) -> pa.Table:
     """One scheduler round over ``settings.num_frontier_shards`` logical
     shards held by ``hosts`` — local :class:`FrontierHost` objects or
     Ray actor handles; shard ``sid`` lives on ``hosts[host_of(sid,
@@ -109,11 +119,11 @@ def run_schedule_wave(
     the first pop of a new wave clock.
 
     Returns the wave's crawl batch AND the schedule-order parity log as
-    one dict of parallel column lists ``{url, urllib, version, referer,
-    drill_relation, retry, host}`` plus the scalar ``wave``; a row's
-    ``seq`` is its list index.  ``host`` is each url's ``url_host(url) or
+    one :data:`SCHED_SCHEMA` table, a row per url in serve order
+    (``seq`` counts from 0).  ``host`` is each url's ``url_host(url) or
     ""``, as the shard's pop or drain computed it (the driver computes a
-    seed's): the crawl cuts its blocks by it and does not log it.
+    seed's): the crawl cuts its blocks by it and drops it before the
+    log and the blocks.
     """
     submit, submit_pair, resolve = _dispatch(hosts)
     num_shards = settings.num_frontier_shards
@@ -264,6 +274,9 @@ def run_schedule_wave(
                 c_rel.extend(rl)
                 c_retry.extend([0] * len(u))
                 c_host.extend(hs)
-    return {"wave": wave, "url": c_url, "urllib": c_ulib, "version": c_ver,
-            "referer": c_ref, "drill_relation": c_rel, "retry": c_retry,
-            "host": c_host}
+    n = len(c_url)
+    return pa.Table.from_pydict(
+        {"seq": list(range(n)), "wave": [wave] * n, "url": c_url,
+         "urllib": c_ulib, "version": c_ver, "referer": c_ref,
+         "drill_relation": c_rel, "retry": c_retry, "host": c_host},
+        schema=SCHED_SCHEMA)

@@ -212,23 +212,14 @@ def route_feedback(table: pa.Table, num_shards: int) -> dict[int, list[tuple]]:
     ``buffer_results`` call; only shards with rows appear."""
     shard_buffers: dict[int, list[tuple]] = {}
     cols = {c: table.column(c).to_pylist() for c in FEEDBACK_COLUMNS}
-    # host/domain shard ids are md5-derived — memoize (few distinct hosts
+    # domain shard ids are md5-derived — memoize (few distinct domains
     # per wave, tens of thousands of rows)
-    dom_cache: dict[str, int] = {}
+    sid_cache: dict[str, int] = {}
 
-    def _dsid(domain: str) -> int:
-        v = dom_cache.get(domain)
+    def _sid(domain: str) -> int:
+        v = sid_cache.get(domain)
         if v is None:
-            v = dom_cache[domain] = shard_for_domain(domain, num_shards)
-        return v
-
-    tld_cache: dict[str, int] = {}
-
-    def _lsid(dst: str) -> int:
-        t = url_tld(dst) or ""
-        v = tld_cache.get(t)
-        if v is None:
-            v = tld_cache[t] = shard_for_domain(t, num_shards)
+            v = sid_cache[domain] = shard_for_domain(domain, num_shards)
         return v
 
     for i in range(table.num_rows):
@@ -239,7 +230,7 @@ def route_feedback(table: pa.Table, num_shards: int) -> dict[int, list[tuple]]:
             relation = cols["drill_relation"][i]
             version = cols["version"][i]
             for gidx, lidx, ulib, dst in json.loads(fb):
-                shard_buffers.setdefault(_lsid(dst), []).append(
+                shard_buffers.setdefault(_sid(url_tld(dst) or ""), []).append(
                     (seq, "link", (gidx, lidx, ulib, dst, url, relation, version))
                 )
         if not cols["nav_last"][i]:
@@ -253,11 +244,11 @@ def route_feedback(table: pa.Table, num_shards: int) -> dict[int, list[tuple]]:
             ulib = cols["urllib"][i]
             da = parse_urllib_key(ulib)
             rule_domain = da[0] if da else ""
-            shard_buffers.setdefault(_dsid(rule_domain), []).append(
+            shard_buffers.setdefault(_sid(rule_domain), []).append(
                 (seq, "retry", (url, ulib, int(cols["retries"][i]) + 1))
             )
         else:
-            shard_buffers.setdefault(_dsid(cols["domain"][i]), []).append(
+            shard_buffers.setdefault(_sid(cols["domain"][i]), []).append(
                 (seq, "state", (url, state))
             )
     return shard_buffers

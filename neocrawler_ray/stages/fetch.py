@@ -29,7 +29,8 @@ Robots gating (north_rule capability; the reference has none): the
 ``robots.txt`` rows are parsed by :func:`robots_from_pages` — in a crawl
 from the pages partitions the host kernel already loaded, without Ray
 from :func:`build_robots_map`'s url-filtered scan — and urls under a
-disallowed prefix are marked ``robots_blocked`` without a fetch.
+disallowed prefix (:func:`robots_blocked`) are marked ``robots_blocked``
+without a fetch.
 
 Politeness budgets are enforced upstream at schedule time (per-host
 per-wave quota in the frontier shard — the deterministic wave-model
@@ -242,6 +243,22 @@ def parse_robots(robots_bytes: bytes) -> list[str]:
     return disallow
 
 
+def robots_blocked(robots: dict[str, list[str]], url: str,
+                   host: str) -> bool:
+    """Whether ``url``, whose ``url_host`` is ``host``, falls under one
+    of ``robots[host]``'s disallow prefixes.  The prefixes match what
+    follows the url's netloc (its first ``/``, ``?`` or ``#`` after
+    ``//``), so case, port and userinfo variants of a netloc, which
+    ``url_host`` keys to one host, get one answer."""
+    prefixes = robots.get(host)
+    if not prefixes:
+        return False
+    rest = url.partition("//")[2]
+    cut = min((i for i in map(rest.find, "/?#") if i >= 0),
+              default=len(rest))
+    return rest[cut:].startswith(tuple(prefixes))
+
+
 def robots_from_pages(tables: list[pa.Table]) -> dict[str, list[str]]:
     """``{url_host: [disallow prefix]}`` from the ``robots.txt`` rows of
     pages tables (``url`` and ``html`` columns), visited in the given
@@ -380,13 +397,6 @@ class FetchSim:
             i += 1
         return None
 
-    def _blocked(self, url: str, host: str) -> bool:
-        prefixes = self.robots.get(host)
-        if not prefixes:
-            return False
-        path = url.split(host, 1)[-1]
-        return any(path.startswith(p) for p in prefixes)
-
     # -- per batch ------------------------------------------------------
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Vectorized point-lookup fetch: one md5-digest sweep for the
@@ -433,7 +443,7 @@ class FetchSim:
         shard_ids = np.empty(n, dtype=np.int64)
         for i, url in enumerate(urls):
             host = hosts[i]
-            if self._blocked(url, host):
+            if robots_blocked(self.robots, url, host):
                 statuses[i] = 999
                 blocked_flags[i] = True
                 continue
@@ -519,17 +529,6 @@ class FetchSim:
                                 nav_round_arr[bi] = steps
                             body = apply_browser(body, rend, steps, skey)
                         htmls[bi] = body
-        if not extras:
-            return (
-                batch.append_column("html", pa.array(htmls, pa.binary()))
-                .append_column("status", pa.array(statuses, pa.int32()))
-                .append_column(
-                    "robots_blocked", pa.array(blocked_flags, pa.bool_()))
-                .append_column("nav_round", pa.array(nav_round_arr,
-                                                     pa.int32()))
-                .append_column(
-                    "nav_last", pa.array(np.ones(n, dtype=bool), pa.bool_()))
-            )
         # row expansion: keep input order, rounds ascending, final last
         from collections import defaultdict
 

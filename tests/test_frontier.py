@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from neocrawler_ray.config import CrawlSettings, RuleSet
 from neocrawler_ray.functions.urls import url_md5
-from neocrawler_ray.pipelines.scheduler import run_schedule_wave
+from neocrawler_ray.pipelines.scheduler import SCHED_SCHEMA, run_schedule_wave
 from neocrawler_ray.state.frontier import FrontierHost, FrontierShard, host_of
 
 DOMAIN = "site0.example"
@@ -195,12 +195,12 @@ def test_run_schedule_wave_quota_and_seeds():
     # wave 0: list rule reseeds (3 range-expanded seeds, bypass quota),
     # list queue empty → ct_list=ceil(10/160*110)=7 unmet → left=7;
     # detail ct = ceil(10/160*50)+7 = 11 → pops all 8 queued
-    urls = sched["url"]
+    urls = sched.column("url").to_pylist()
     assert urls[:3] == [f"http://www.site0.example/list_{i}.html" for i in (1, 2, 3)]
     assert len(urls) == 3 + 8
-    assert sched["wave"] == 0
-    assert all(len(sched[c]) == 11 for c in
-               ("urllib", "version", "referer", "drill_relation", "retry"))
+    assert sched.schema == SCHED_SCHEMA
+    assert sched.column("seq").to_pylist() == list(range(11))
+    assert sched.column("wave").to_pylist() == [0] * 11
     # determinism: fresh run gives identical schedule
     host2 = FrontierHost([0], RULES, CrawlSettings(
         schedule_quantity_limitation=10, num_frontier_shards=1,
@@ -211,7 +211,7 @@ def test_run_schedule_wave_quota_and_seeds():
             "http://ref", "*", 1, now=0)
     entries2 = RuleSet(RULES).priority_list()
     sched2 = run_schedule_wave(0, entries2, total, [host2], settings)
-    assert sched == sched2
+    assert sched.equals(sched2)
 
 
 # The two examples below keep the names they had when the fast plan was
@@ -242,9 +242,9 @@ def test_speculative_schedule_equals_chained():
     the detail rule (quota-limited at ct_base=4) — without that carry
     it would schedule 4 of its 8 queued urls instead of all 8."""
     pruned = _quota_wave(True)
-    assert pruned == _quota_wave(False)
-    assert pruned["url"][3:] == [f"http://www.site0.example/item_{i}?id={i}"
-                                 for i in range(8)]
+    assert pruned.equals(_quota_wave(False))
+    assert pruned.column("url").to_pylist()[3:] == [
+        f"http://www.site0.example/item_{i}?id={i}" for i in range(8)]
 
 
 def test_speculative_schedule_no_carry_case():
@@ -273,7 +273,7 @@ def test_speculative_schedule_no_carry_case():
                                  settings, queued)
 
     a, b = run(True), run(False)
-    assert a == b and len(a["url"]) > 0
+    assert a.equals(b) and len(a) > 0
 
 
 class _CountingHost:
@@ -356,10 +356,10 @@ def test_schedule_calls_only_shards_with_work():
         counted = [_CountingHost(h) for h in hosts]
         sched = run_schedule_wave(1, *entries(), counted, settings, report)
         assert [c.calls for c in counted] == calls
-        assert sorted(sched["url"]) == sorted(u for s in sids
-                                              for u in work(s)[2])
+        assert sorted(sched.column("url").to_pylist()) == sorted(
+            u for s in sids for u in work(s)[2])
         plain, _ = hosts_and_report(n_hosts, sids)
-        assert run_schedule_wave(1, *entries(), plain, settings) == sched
+        assert run_schedule_wave(1, *entries(), plain, settings).equals(sched)
 
 
 # --------------------------- snapshot/restore -----------------------------

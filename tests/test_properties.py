@@ -363,8 +363,11 @@ def test_speculative_schedule_equivalence_property(cfg):
         trace = []
         for wave in (0, 1):
             cols = run_schedule_wave(wave, entries, rs.total_rates, hosts,
-                                     settings_, report if pruned else None)
+                                     settings_, report if pruned else None
+                                     ).to_pydict()
             assert cols["host"] == [url_host(u) or "" for u in cols["url"]]
+            assert cols["seq"] == list(range(len(cols["url"])))
+            assert cols["wave"] == [wave] * len(cols["url"])
             trace.append(copy.deepcopy((cols, [
                 (sh.url_info, {k: list(v) for k, v in sh.queues.items()},
                  {k: list(v) for k, v in sh.retry_queues.items()},
@@ -471,6 +474,96 @@ def test_robots_from_loaded_partitions_equal_scan(corpus):
     want = {url_host(u): parse_robots(b) for k in order
             for u, b in by_part[k] if u.endswith("/robots.txt")}
     assert got == want
+
+
+@st.composite
+def _netloc_variant(draw):
+    """``(host, path, scheme, netloc)``: a url_host, a path part (empty,
+    or starting with ``/``, ``?`` or ``#``), and a netloc that
+    ``url_host`` keys to the host — any letter case, with or without a
+    port and userinfo."""
+    host = draw(st.from_regex(r"[a-z]{1,6}\.example", fullmatch=True))
+    path = draw(st.just("") | st.builds(
+        str.__add__, st.sampled_from(
+            ["/", "/a", "/ab", "/private", "/private/", "/private/x",
+             "/b/c", "/b/cd", "?a=1", "#/private/"]),
+        st.text(alphabet="/abc?#=", max_size=4)))
+    netloc = "".join(c.upper() if draw(st.booleans()) else c
+                     for c in host)
+    if draw(st.booleans()):
+        netloc += f":{draw(st.integers(1, 65535))}"
+    userinfo = draw(st.sampled_from(["", "user@", "user:pw@"]))
+    return host, path, draw(st.sampled_from(["http", "https"])), \
+        userinfo + netloc
+
+
+@given(_netloc_variant(), _ROBOTS_BODY)
+@settings(max_examples=200, deadline=None)
+def test_robots_blocked_ignores_netloc_spelling(variant, body):
+    """A url whose netloc differs from its url_host by case, port or
+    userinfo gets the robots answer of the lower-case, port-less url —
+    in ``robots_blocked`` and in FetchSim's ``robots_blocked`` column —
+    and where the netloc is the url_host the answer is the original
+    prefix match on what follows the host."""
+    import pyarrow as pa
+
+    from neocrawler_ray.stages.fetch import (FetchSim, parse_robots,
+                                             robots_blocked)
+
+    host, path, scheme, netloc = variant
+    robots = {host: parse_robots(body)}
+    plain = f"{scheme}://{host}{path}"
+    url = f"{scheme}://{netloc}{path}"
+    assert url_host(url) == url_host(plain) == host
+    want = any(plain.split(host, 1)[-1].startswith(p)
+               for p in robots[host])
+    assert robots_blocked(robots, plain, host) == want
+    assert robots_blocked(robots, url, host) == want
+    # no pages directory: an unblocked url is a 404, never a read error
+    got = FetchSim("/nonexistent", robots, 4)(pa.table({"url": [plain, url]}))
+    assert got.column("robots_blocked").to_pylist() == [want, want]
+
+
+def _block_bounds_reference(shard_sorted, batch: int) -> list:
+    """The wave loop's former per-row cut: extend a block row by row up
+    to ``batch`` rows, stopping at a shard change once it holds
+    ``batch // 2``."""
+    n = len(shard_sorted)
+    bounds = []
+    i = 0
+    while i < n:
+        j = i
+        while j < n and j - i < batch:
+            if (j > i and shard_sorted[j] != shard_sorted[j - 1]
+                    and j - i >= batch // 2):
+                break
+            j += 1
+        bounds.append((i, j))
+        i = j
+    return bounds
+
+
+@st.composite
+def _sorted_shards(draw):
+    k = draw(st.integers(1, 8))
+    return sorted(draw(st.lists(st.integers(0, k - 1), max_size=300)))
+
+
+@given(_sorted_shards(), st.integers(1, 300))
+@settings(max_examples=300, deadline=None)
+def test_block_bounds_match_per_row_cut(shards, batch):
+    """``_block_bounds`` cuts a shard-sorted wave exactly where the
+    per-row loop did; the blocks tile ``[0, n)`` in order and none holds
+    more than ``batch`` rows."""
+    import numpy as np
+
+    from neocrawler_ray.pipelines.crawl import _block_bounds
+
+    got = _block_bounds(np.array(shards, dtype=np.int64), batch)
+    assert got == _block_bounds_reference(shards, batch)
+    edges = [0] + [hi for _, hi in got]
+    assert [lo for lo, _ in got] == edges[:-1] and edges[-1] == len(shards)
+    assert all(0 < hi - lo <= batch for lo, hi in got)
 
 
 @given(st.lists(_ROW, max_size=16), st.integers(0, 3), st.data())
